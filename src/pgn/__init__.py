@@ -7,9 +7,8 @@ criteria at desk scale.
 """
 
 from .core import (DEFAULT_GAP_BITS, DomainError, GapFunction, PgnError,
-                   PiecewiseLinearMap, StructureError, breakpoints_of,
-                   concatenate, format_rational, parse_rational,
-                   sup_distance)
+                   PiecewiseLinearMap, StructureError, concatenate,
+                   format_rational, parse_rational, sup_distance)
 from .diagnostics import (ComparisonReport, DiagnosticsReport, analyze,
                           analyze_profile, compare_system_profile,
                           profile_interpolant, profile_kernel_locked)

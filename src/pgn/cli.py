@@ -8,6 +8,7 @@ inputs) and written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,8 @@ import tempfile
 from fractions import Fraction
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
-                   PiecewiseLinearMap, format_rational, parse_rational)
+                   PiecewiseLinearMap, format_rational, map_document_rows,
+                   parse_rational)
 from .diagnostics import analyze, analyze_profile, compare_system_profile
 from .minima import (GaugeBody, LINEAR_FORM, SIMULTANEOUS, minima_profile,
                      profile_from_csv, profile_to_csv, proxy_horizon)
@@ -105,11 +107,7 @@ def _block_figure(params: TemplateParams, k: int, q_k, gap: GapFunction) -> str:
     for endpoint in (Fraction(0), Fraction(1)):
         if endpoint == params.delta:
             continue
-        variant = TemplateParams(
-            n=params.n, w=params.w, alpha=params.alpha, delta=endpoint,
-            q1=params.q1, blocks=params.blocks, beta=params.beta,
-            beta_mode=params.beta_mode, gap_bits=params.gap_bits,
-            paper_qk1=params.paper_qk1)
+        variant = dataclasses.replace(params, delta=endpoint)
         overlays.append(build_block(variant, k, q_k, gap)[0])
     labels = [(q, lab) for q, lab in _block_labels(k, bp)
               if bp.q_k <= q <= bp.q_k1]
@@ -173,10 +171,14 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _load_system(text: str):
+    """Breakpoints, value rows and meta of a system JSON document."""
+    doc = json.loads(text)
+    return (*map_document_rows(doc), doc.get("meta"))
+
+
 def _cmd_validate(args) -> int:
-    doc = json.loads(_read_input(args.system))
-    breakpoints = [parse_rational(b) for b in doc["breakpoints"]]
-    values = [[parse_rational(v) for v in row] for row in doc["values"]]
+    breakpoints, values, _ = _load_system(_read_input(args.system))
     report = validate_raw(breakpoints, values)
     for violation in report.violations:
         print(json.dumps(violation.to_json_dict(), sort_keys=True))
@@ -208,8 +210,8 @@ def _load_subject(path: str):
     text = _read_input(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
-        return PiecewiseLinearMap.from_json_dict(doc), doc.get("meta"), None
+        breakpoints, values, meta = _load_system(text)
+        return PiecewiseLinearMap(breakpoints, values), meta, None
     profile = profile_from_csv(text)
     return None, None, profile
 
@@ -255,10 +257,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     gap = GapFunction(args.gap_bits or _gap_bits_default())
-    text = _read_input(args.input)
-    doc = json.loads(text)
-    subject = PiecewiseLinearMap.from_json_dict(doc)
-    meta = doc.get("meta")
+    breakpoints, values, meta = _load_system(_read_input(args.input))
+    subject = PiecewiseLinearMap(breakpoints, values)
     if args.block is not None:
         if not meta or "template" not in meta:
             raise UsageError("--block needs template metadata in the file")

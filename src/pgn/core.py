@@ -267,22 +267,25 @@ class PiecewiseLinearMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PiecewiseLinearMap":
-        try:
-            n = int(doc["n"])
-            bps = [parse_rational(b) for b in doc["breakpoints"]]
-            rows = [[parse_rational(v) for v in row] for row in doc["values"]]
-        except (KeyError, TypeError) as exc:
-            raise StructureError(f"malformed map document: {exc}") from exc
-        m = cls(tuple(bps), tuple(tuple(r) for r in rows))
-        if m.n_components != n + 1:
+        return cls(*map_document_rows(doc))
+
+
+def map_document_rows(doc) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Raw breakpoints and value rows of a map document, every row checked
+    against the declared n; repeated breakpoints are left to the caller."""
+    if not isinstance(doc, dict):
+        raise StructureError("a map document must be a JSON object")
+    try:
+        n = int(doc["n"])
+        bps = [parse_rational(b) for b in doc["breakpoints"]]
+        rows = [[parse_rational(v) for v in row] for row in doc["values"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError(f"malformed map document: {exc}") from exc
+    for row in rows:
+        if len(row) != n + 1:
             raise StructureError(
-                f"document says n={n} but rows have {m.n_components} components")
-        return m
-
-
-def breakpoints_of(pl_map: PiecewiseLinearMap) -> list[Fraction]:
-    """The map's breakpoints, ascending."""
-    return list(pl_map.breakpoints)
+                f"document says n={n} but rows have {len(row)} components")
+    return bps, rows
 
 
 def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,

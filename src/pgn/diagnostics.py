@@ -84,8 +84,6 @@ def _last_local_min(points: list[tuple[Fraction, Fraction]]
     for i in range(len(vals) - 2, 0, -1):
         if vals[i] < vals[i + 1] and vals[i] <= vals[i - 1]:
             return points[i]
-    if vals[0] < vals[1]:
-        return points[0]
     return points[0]
 
 

@@ -1,19 +1,30 @@
 """Successive minima of parametrized convex bodies by exact enumeration.
 
-Two gauge bodies are supported: the linear-form body (n box coordinates
-plus one scaled form constraint) and the simultaneous-approximation body
-(one stretched coordinate plus m scaled difference constraints).  The
-scale e^q is replaced once by the GapFunction's dyadic surrogate E, after
-which every gauge value is an exact rational.
+Two gauge bodies are supported, both in one integer row form
 
-Two enumeration strategies produce bit-identical results:
+    {v : max_r |A_r . v| * E^p_r / d_r <= T},
+
+with integer rows A_r triangular in a pivot order: each row brings in one
+new coordinate, its pivot, and reads only pivots of earlier rows.  The
+linear-form body has n unit rows on v_1..v_n (p=0, d=1), then the form row
+(den, nums...) (p=1, d=den); the simultaneous-approximation body has the
+unit row on v_0 (p=-m, d=1), then m rows den*v_i - num_i*v_0 (p=1, d=den).
+The scale e^q is replaced once by the GapFunction's dyadic surrogate E,
+after which every gauge value is an exact rational.
+
+One triangular scan, the max-norm form of Fincke-Pohst, serves two
+enumeration strategies with bit-identical results:
 
 * plain box enumeration up to a caller bound B, with a completeness
   certificate that rejects bounds too small to be conclusive;
-* self-certifying window enumeration, which enumerates exactly the set
-  {v != 0 : gauge(v) <= T} for growing thresholds T and stops as soon as
-  the lattice rank inside the window is full.  This is a provably lossless
-  pruning of box enumeration, not an approximation.
+* self-certifying window enumeration of exactly {v != 0 : gauge(v) <= T}
+  for growing thresholds T, stopping once the rank inside the window is
+  full.  Each pivot runs over the integers its row allows given the
+  earlier pivots, a provably lossless pruning of box enumeration.
+
+Before scanning, the widths of all coordinate ranges are multiplied, the
+form coordinate's too (about 2T/E wide at negative q), and a product past
+the desk-scale limit refuses the grid point.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError, format_rational,
                    parse_rational)
@@ -58,6 +68,80 @@ class GaugeBody:
         return len(self.x) + 1
 
 
+def _rows(body: GaugeBody):
+    """The body's integer rows ``(pivot, coefficients, p, d)`` in pivot
+    order; the pivot coefficient of every row equals its d."""
+    den = math.lcm(*(x.denominator for x in body.x))
+    nums = [x.numerator * (den // x.denominator) for x in body.x]
+    dim = body.dim
+    if body.mode == LINEAR_FORM:
+        units = [(i, tuple(int(j == i) for j in range(dim)), 0, 1)
+                 for i in range(1, dim)]
+        return units + [(0, (den, *nums), 1, den)]
+    return [(0, (1,) + (0,) * len(nums), -len(nums), 1)] + [
+        (i, (-num, *(den * (j == i) for j in range(1, dim))), 1, den)
+        for i, num in enumerate(nums, 1)]
+
+
+class IntegerBody:
+    """A gauge body at one exact scale E, as integer rows with integer
+    weights over one common denominator:
+    gauge(v) = max_r |A_r . v| * weights[r] / den."""
+
+    __slots__ = ("rows", "powers", "weights", "den")
+
+    def __init__(self, body: GaugeBody, scale: Fraction):
+        rows = _rows(body)
+        self.rows = tuple((pivot, coeffs) for pivot, coeffs, _, _ in rows)
+        self.powers = tuple(p for _, _, p, _ in rows)
+        exact = [Fraction(scale) ** p / d for _, _, p, d in rows]
+        self.den = math.lcm(*(w.denominator for w in exact))
+        self.weights = tuple(w.numerator * (self.den // w.denominator)
+                             for w in exact)
+
+    def _values(self, vec):
+        return [sum(a * c for a, c in zip(coeffs, vec))
+                for _, coeffs in self.rows]
+
+    def gauge(self, vec) -> Fraction:
+        return Fraction(max(abs(v) * w for v, w in
+                            zip(self._values(vec), self.weights)), self.den)
+
+    def is_kernel(self, vec) -> bool:
+        """True when every scaled row (p > 0) vanishes on vec."""
+        return not any(v for v, p in zip(self._values(vec), self.powers)
+                       if p > 0)
+
+    @property
+    def jump(self) -> Fraction:
+        """Least gauge of a vector off the kernel: a nonzero scaled row
+        value is at least 1 in absolute value."""
+        return Fraction(min(w for w, p in zip(self.weights, self.powers)
+                            if p > 0), self.den)
+
+    @property
+    def exponent(self) -> int:
+        """The body's volume is 2^dim / E^exponent, as det A = prod d_r."""
+        return sum(self.powers)
+
+    def radii(self, threshold: Fraction) -> list[int]:
+        """Per row, the largest |A_r . v| that gauge(v) <= threshold allows."""
+        t = Fraction(threshold)
+        return [t.numerator * self.den // (t.denominator * w)
+                for w in self.weights]
+
+    def reach(self, lam: Fraction) -> Fraction:
+        """Smallest box max-norm containing every vector of gauge <= lam
+        (the certificate): each pivot's reach, from its row's bound and the
+        reach of the pivots the row reads, then the max."""
+        reach = [Fraction(0)] * len(self.rows)
+        for (pivot, coeffs), w in zip(self.rows, self.weights):
+            spread = sum(abs(a) * reach[j] for j, a in enumerate(coeffs)
+                         if j != pivot)
+            reach[pivot] = (lam * self.den / w + spread) / coeffs[pivot]
+        return max(reach)
+
+
 def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
     """Minkowski functional of vec for the body at exact scale E ~ e^q."""
     vec = tuple(int(c) for c in vec)
@@ -65,15 +149,7 @@ def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
         raise PgnError("gauge of the zero vector is undefined")
     if len(vec) != body.dim:
         raise PgnError(f"vector has {len(vec)} coordinates, body needs {body.dim}")
-    scale = Fraction(scale)
-    if body.mode == LINEAR_FORM:
-        box = max(abs(c) for c in vec[1:])
-        form = abs(vec[0] + sum(x * c for x, c in zip(body.x, vec[1:])))
-        return max(Fraction(box), scale * form)
-    m = len(body.x)
-    stretched = Fraction(abs(vec[0])) / scale ** m
-    form = max(abs(vec[0] * x - c) for x, c in zip(body.x, vec[1:]))
-    return max(stretched, scale * form)
+    return IntegerBody(body, scale).gauge(vec)
 
 
 def gauge(body: GaugeBody, q, vec, gap: GapFunction | None = None) -> Fraction:
@@ -85,17 +161,7 @@ def is_form_kernel(body: GaugeBody, vec) -> bool:
     """True when the scaled constraints vanish exactly on vec, so its gauge
     never grows with the parameter (the hallmark of an exactly rational
     target at desk scale)."""
-    vec = tuple(int(c) for c in vec)
-    if body.mode == LINEAR_FORM:
-        return vec[0] + sum(x * c for x, c in zip(body.x, vec[1:])) == 0
-    return all(vec[0] * x - c == 0 for x, c in zip(body.x, vec[1:]))
-
-
-def _canonical(vec) -> bool:
-    for c in vec:
-        if c:
-            return c > 0
-    return False
+    return IntegerBody(body, Fraction(1)).is_kernel(tuple(int(c) for c in vec))
 
 
 class _RankTracker:
@@ -118,111 +184,61 @@ class _RankTracker:
                 return True
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+
+def _scan(ib: IntegerBody, radii, bound: int = 0):
+    """(gauge, vector) for one vector of each +- pair in the scan, flipped
+    into canonical order (first nonzero coordinate positive).
+
+    Pivots are set in row order, each over the integers where its row stays
+    within its radius given the earlier pivots, or over [-bound, bound] if
+    the radius is None; while all earlier pivots are 0, only over v >= 0."""
+    leads = [coeffs[pivot] for pivot, coeffs in ib.rows]
+    widths = [2 * bound + 1 if r is None else 2 * r // a + 1
+              for r, a in zip(radii, leads)]
+    points = (widths[0] + 1) // 2 * math.prod(widths[1:])
+    if points > _MAX_WINDOW_POINTS:
+        raise PgnError(f"desk-scale limit: certifying minima at this point "
+                       f"needs a scan of {points} points")
+    levels = [(pivot, lead, [(j, a) for j, a in enumerate(coeffs)
+                             if a and j != pivot], w, r)
+              for (pivot, coeffs), lead, w, r in
+              zip(ib.rows, leads, ib.weights, radii)]
+    out: list = []
+    _scan_level(levels, bound, ib.den, 0, [0] * len(levels), 0, True, out)
+    return out
 
 
-class _FastGauge:
-    """Integer-arithmetic gauge evaluator, exactly equal to gauge_at_scale.
-
-    Targets are scaled to a common denominator D so the form part of a
-    vector is a plain integer; the max with the box part is decided by an
-    integer cross-comparison and only the winning side is materialized as
-    a Fraction (equal rationals compare equal however constructed)."""
-
-    __slots__ = ("mode", "den", "nums", "e_num", "e_den", "em_num", "em_den")
-
-    def __init__(self, body: GaugeBody, scale: Fraction):
-        self.mode = body.mode
-        self.den = math.lcm(*(x.denominator for x in body.x))
-        self.nums = tuple(x.numerator * (self.den // x.denominator)
-                          for x in body.x)
-        self.e_num, self.e_den = scale.numerator, scale.denominator
-        if body.mode == SIMULTANEOUS:
-            em = scale ** len(body.x)
-            self.em_num, self.em_den = em.numerator, em.denominator
-
-    def linear_form(self, v0: int, rest) -> Fraction:
-        box = max(abs(c) for c in rest)
-        form = abs(v0 * self.den + sum(x * c for x, c in zip(self.nums, rest)))
-        if form * self.e_num <= box * self.e_den * self.den:
-            return Fraction(box)
-        return Fraction(form * self.e_num, self.e_den * self.den)
-
-    def simultaneous(self, v0: int, rest) -> Fraction:
-        form = max(abs(v0 * x - c * self.den)
-                   for x, c in zip(self.nums, rest))
-        # compare |v0|/E^m with E*form/D
-        left = abs(v0) * self.em_den * self.e_den * self.den
-        right = form * self.e_num * self.em_num
-        if left >= right:
-            return Fraction(abs(v0) * self.em_den, self.em_num)
-        return Fraction(form * self.e_num, self.e_den * self.den)
+def _scan_level(levels, bound, den, k, vec, best, free, out):
+    pivot, lead, reads, weight, radius = levels[k]
+    s = sum(a * vec[j] for j, a in reads)
+    if radius is None:
+        lo, hi = -bound, bound
+    else:
+        lo, hi = -((radius + s) // lead), (radius - s) // lead
+    if k + 1 < len(levels):
+        for v in range(0 if free else lo, hi + 1):
+            vec[pivot] = v
+            g = abs(lead * v + s) * weight
+            _scan_level(levels, bound, den, k + 1, vec,
+                        g if g > best else best, free and not v, out)
+        return
+    for v in range(1 if free else lo, hi + 1):
+        vec[pivot] = v
+        g = abs(lead * v + s) * weight
+        t = tuple(vec)
+        if next(filter(None, t)) < 0:
+            t = tuple(-c for c in t)
+        out.append((Fraction(g if g > best else best, den), t))
 
 
-def _enumerate_box(body: GaugeBody, scale: Fraction, bound: int):
+def _enumerate_box(ib: IntegerBody, bound: int):
     """All canonical nonzero integer vectors with max-norm <= bound."""
-    fast = _FastGauge(body, scale)
-    value = (fast.linear_form if body.mode == LINEAR_FORM
-             else fast.simultaneous)
-    out = []
-    rng = range(-bound, bound + 1)
-    for vec in product(rng, repeat=body.dim):
-        if not _canonical(vec):
-            continue
-        out.append((value(vec[0], vec[1:]), vec))
-    return out
+    return _scan(ib, [None] * len(ib.rows), bound)
 
 
-def _enumerate_within(body: GaugeBody, scale: Fraction, threshold: Fraction):
+def _enumerate_within(ib: IntegerBody, threshold: Fraction):
     """Exactly the canonical vectors whose gauge is <= threshold."""
-    fast = _FastGauge(body, scale)
-    out = []
-    if body.mode == LINEAR_FORM:
-        n = len(body.x)
-        bmax = math.floor(threshold)
-        if (2 * bmax + 1) ** n > _MAX_WINDOW_POINTS:
-            raise PgnError(
-                f"desk-scale limit: certifying minima at this point needs a "
-                f"window of {(2 * bmax + 1) ** n} box points")
-        den = fast.den
-        # v0 window: |v0*den + shift| * e_num <= threshold * e_den * den,
-        # kept in integers: |v0*den + shift| * wd <= wn
-        wn = threshold.numerator * fast.e_den * den
-        wd = threshold.denominator * fast.e_num
-        step = den * wd
-        for b in product(range(-bmax, bmax + 1), repeat=n):
-            shift = sum(x * c for x, c in zip(fast.nums, b))
-            centered = shift * wd
-            lo = -((centered + wn) // step)
-            hi = (wn - centered) // step
-            for v0 in range(lo, hi + 1):
-                vec = (v0, *b)
-                if not _canonical(vec):
-                    continue
-                out.append((fast.linear_form(v0, b), vec))
-        return out
-    m = len(body.x)
-    v0max = math.floor(threshold * scale ** m)
-    radius = threshold / scale
-    per_axis = 2 * math.floor(radius) + 2
-    if (v0max + 1) * per_axis ** m > _MAX_WINDOW_POINTS:
-        raise PgnError(
-            "desk-scale limit: certifying minima at this point needs "
-            f"roughly {(v0max + 1) * per_axis ** m} window points")
-    for v0 in range(0, v0max + 1):
-        windows = []
-        for x in body.x:
-            center = v0 * x
-            windows.append(range(math.ceil(center - radius),
-                                 math.floor(center + radius) + 1))
-        for rest in product(*windows):
-            vec = (v0, *rest)
-            if not _canonical(vec):
-                continue
-            out.append((fast.simultaneous(v0, rest), vec))
-    return out
+    return _scan(ib, ib.radii(threshold))
 
 
 def _greedy_minima(candidates, dim: int):
@@ -244,17 +260,6 @@ def _greedy_minima(candidates, dim: int):
             if len(minima) == dim:
                 break
     return minima, witnesses
-
-
-def _required_box(body: GaugeBody, scale: Fraction, lam: Fraction) -> Fraction:
-    """Smallest box max-norm guaranteed to contain every vector of gauge
-    <= lam; this is the completeness certificate."""
-    if body.mode == LINEAR_FORM:
-        return max(lam, lam / scale + lam * sum(abs(x) for x in body.x))
-    m = len(body.x)
-    v0 = lam * scale ** m
-    xmax = max(abs(x) for x in body.x)
-    return max(v0, lam / scale + xmax * v0)
 
 
 @dataclass(frozen=True)
@@ -279,13 +284,13 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
         raise PgnError("enumeration bound must be at least 1")
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
-    candidates = _enumerate_box(body, scale, bound)
-    minima, witnesses = _greedy_minima(candidates, body.dim)
+    ib = IntegerBody(body, scale)
+    minima, witnesses = _greedy_minima(_enumerate_box(ib, bound), body.dim)
     if len(minima) < body.dim:
         raise BoundTooSmallError(
             f"only {len(minima)} independent vectors in the box of size "
             f"{bound}", suggested=2 * bound)
-    needed = _required_box(body, scale, minima[-1])
+    needed = ib.reach(minima[-1])
     certified = needed <= bound
     if require_certificate and not certified:
         raise BoundTooSmallError(
@@ -308,24 +313,21 @@ def successive_minima_certified(body: GaugeBody, q, *,
     """
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
-    den = math.lcm(*(x.denominator for x in body.x))
-    min_nonkernel = scale / den  # any vector off the form kernel has
-    #                              gauge at least scale/den
+    ib = IntegerBody(body, scale)
     threshold = Fraction(1)
     for _ in range(_MAX_DOUBLINGS):
-        candidates = _enumerate_within(body, scale, threshold)
-        minima, witnesses = _greedy_minima(candidates, body.dim)
+        minima, witnesses = _greedy_minima(_enumerate_within(ib, threshold),
+                                           body.dim)
         if len(minima) == body.dim:
-            box = math.ceil(_required_box(body, scale, minima[-1]))
             return MinimaResult(tuple(minima), tuple(witnesses), scale,
-                                box, True)
+                                math.ceil(ib.reach(minima[-1])), True)
         threshold *= 2
         if (len(minima) == body.dim - 1
-                and all(is_form_kernel(body, v) for v in witnesses)
-                and min_nonkernel > threshold):
+                and all(ib.is_kernel(v) for v in witnesses)
+                and ib.jump > threshold):
             # the witnesses span the whole form-kernel sublattice, so the
-            # missing direction costs at least scale/den; jump there
-            threshold = min_nonkernel
+            # missing direction costs at least the jump value; go there
+            threshold = ib.jump
     raise PgnError("window enumeration failed to reach full rank")
 
 
@@ -397,10 +399,10 @@ class MinkowskiReport:
 def minkowski_check(profile: MinimaProfile) -> MinkowskiReport:
     """Second-theorem sanity oracle on the product of the minima.
 
-    For the linear-form body the volume is 2^dim / E, so the theorem pins
-    E/dim! <= product(lambda_d) <= E exactly; the simultaneous body has
-    constant volume 2^dim, pinning 1/dim! <= product <= 1.  The exact
-    product inequality is decided over the rationals; log-scale margins are
+    The body has volume 2^dim / E^s with s the row exponent (1 for the
+    linear-form body, 0 for the simultaneous one), so the theorem pins
+    E^s/dim! <= product(lambda_d) <= E^s exactly.  The exact product
+    inequality is decided over the rationals; log-scale margins are
     reported for inspection.
     """
     gap = GapFunction(profile.gap_bits)
@@ -414,12 +416,9 @@ def minkowski_check(profile: MinimaProfile) -> MinkowskiReport:
         for lam in profile.minima[i]:
             prod *= lam
         scale = profile.scales[i]
-        if profile.body.mode == LINEAR_FORM:
-            lower, upper = scale / fact, scale
-            log_lo, log_hi = q - log_fact, q
-        else:
-            lower, upper = Fraction(1, fact), Fraction(1)
-            log_lo, log_hi = -log_fact, Fraction(0)
+        exponent = IntegerBody(profile.body, scale).exponent
+        upper, log_hi = scale ** exponent, q * exponent
+        lower, log_lo = upper / fact, log_hi - log_fact
         exact_ok = lower <= prod <= upper
         sum_logs = sum(profile.logs[i])
         points.append({

@@ -10,7 +10,7 @@ breakpoints, and gray guide lines q/(n+1) and q/(w+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
 

@@ -16,10 +16,10 @@ validator can exhibit its inconsistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (DEFAULT_GAP_BITS, Fraction, GapFunction, PgnError,
+from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
                    PiecewiseLinearMap, concatenate, format_rational,
                    parse_rational)
 

@@ -225,3 +225,41 @@ class TestExitCodes:
     def test_bad_grid(self, capsys):
         code, _, err = cli(capsys, "minima", "--x", "0", "--grid", "0:4")
         assert code == 1
+
+
+class TestSystemDocuments:
+    """validate, diagnose and plot read system JSON through one loader."""
+
+    THREE_COMPONENTS = {"breakpoints": ["0", "1"],
+                        "values": [["0", "0", "0"], ["0", "0", "1"]]}
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_validate_checks_declared_n(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"n": 5, **self.THREE_COMPONENTS})
+        code, out, err = cli(capsys, "validate", path)
+        assert code == 3 and not out
+        assert "n=5" in err and len(err.strip().splitlines()) == 1
+        code, _, _ = cli(capsys, "diagnose", "--input", path, "--w", "6")
+        assert code == 3
+
+    @pytest.mark.parametrize("argv", [["validate"], ["plot", "--input"]],
+                             ids=["validate", "plot"])
+    def test_non_object_document_exits_3(self, capsys, tmp_path, argv):
+        code, _, err = cli(capsys, *argv, self._write(tmp_path, [1, 2]))
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_repeated_breakpoint_is_a_continuity_violation(self, capsys,
+                                                           tmp_path):
+        doc = {"n": 1, "breakpoints": ["0", "1", "1", "2"],
+               "values": [["0", "0"], ["1/2", "1/2"], ["0", "1"],
+                          ["1/2", "3/2"]]}
+        code, out, _ = cli(capsys, "validate", self._write(tmp_path, doc))
+        assert code == 2
+        axioms = [json.loads(line).get("axiom")
+                  for line in out.strip().splitlines()[:-1]]
+        assert "continuity" in axioms

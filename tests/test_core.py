@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
-                 StructureError, breakpoints_of, concatenate,
+                 StructureError, concatenate,
                  format_rational, parse_rational, sup_distance)
 from pgn.template import TemplateParams, build_block, build_system
 
@@ -173,20 +173,20 @@ class TestSupDistance:
 class TestBreakpointsOf:
     def test_single_segment(self):
         m = PiecewiseLinearMap((F(0), F(1)), ((F(0), F(0)), (F(1), F(1))))
-        assert breakpoints_of(m) == [0, 1]
+        assert list(m.breakpoints) == [0, 1]
 
     def test_block_has_seven_breakpoints(self):
         params = TemplateParams(n=2, w=F(3), alpha=F(1), delta=F(1, 2),
                                 q1=F(100), blocks=1, beta=F(1, 2))
         block, bp = build_block(params, 1, F(100))
-        assert breakpoints_of(block) == [
+        assert list(block.breakpoints) == [
             bp.q_k, bp.r_k, bp.s_k, bp.t_k, bp.u_k, bp.p_k, bp.q_k1]
 
     def test_concatenation_lists_shared_point_once(self):
         params = TemplateParams(n=2, w=F(3), alpha=F(1), delta=F(1, 2),
                                 q1=F(100), blocks=2, beta=F(1, 2))
         built = build_system(params)
-        bps = breakpoints_of(built.map)
+        bps = list(built.map.breakpoints)
         assert len(bps) == len(set(bps)) == 13
         assert built.blocks[0].q_k1 in bps
 

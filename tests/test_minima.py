@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -180,6 +182,14 @@ class TestProfiles:
         assert prof.minima[1] is None
         assert "certify" in prof.errors[1]
 
+    def test_negative_q_refusal_counts_the_form_coordinate(self):
+        # at q=-20 the window's v_0 range alone holds about 2e9 integers
+        start = time.perf_counter()
+        prof = minima_profile(GaugeBody(LINEAR_FORM, (F(1, 3),)), [-20])
+        assert time.perf_counter() - start < 1
+        assert prof.minima == (None,)
+        assert prof.errors[0].startswith("desk-scale limit")
+
     def test_grid_must_increase(self):
         with pytest.raises(PgnError):
             minima_profile(GaugeBody(LINEAR_FORM, (F(0),)), [F(1), F(1)])
@@ -269,3 +279,32 @@ def test_gauge_scaling_property(a, b, k):
     g1 = gauge_at_scale(body, F(7, 3), (a, b))
     gk = gauge_at_scale(body, F(7, 3), (k * a, k * b))
     assert gk == k * g1
+
+
+@st.composite
+def _small_bodies(draw):
+    """A target with denominators <= 8 in [-1, 1] and a grid point q in
+    [-2, 2]; in [-1/2, 1] for two simultaneous targets, where the oracle's
+    box grows like e^{-3q} (about 3 s each at q=-1)."""
+    mode = draw(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]))
+    dens = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    x = tuple(F(draw(st.integers(-d, d)), d) for d in dens)
+    low, high = (-1, 2) if mode == SIMULTANEOUS and len(x) == 2 else (-4, 4)
+    return GaugeBody(mode, x), F(draw(st.integers(low, high)), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_bodies())
+def test_window_minima_match_rank_oracle_in_both_modes(case):
+    body, q = case
+    res = successive_minima_certified(body, q)
+    lam, scale = res.minima[-1], res.scale
+    # the box holding every vector of gauge <= lam, from the body definitions
+    if body.mode == LINEAR_FORM:  # |v_i| <= lam, |v_0 + x.v| <= lam/E
+        bound = max(lam, lam / scale + lam * sum(abs(x) for x in body.x))
+    else:  # |v_0| <= lam E^m, |v_0 x_i - v_i| <= lam/E
+        v0 = lam * scale ** len(body.x)
+        bound = max(v0, lam / scale + max(abs(x) for x in body.x) * v0)
+    expected = oracle_minima_values(body.mode, body.x, scale,
+                                    math.ceil(bound))
+    assert list(res.minima) == expected
