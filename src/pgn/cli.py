@@ -32,6 +32,10 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_ERROR = 3
 
+# grids past these are refused before any point or scale is computed
+_MAX_GRID_POINTS = 100_000
+_MAX_GRID_Q = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -82,12 +86,13 @@ def _parse_grid(text: str) -> list[Fraction]:
     start, stop, step = (parse_rational(p) for p in parts)
     if step <= 0 or stop < start:
         raise UsageError("grid needs step > 0 and stop >= start")
-    grid = []
-    q = start
-    while q <= stop:
-        grid.append(q)
-        q += step
-    return grid
+    count = (stop - start) // step + 1
+    if count > _MAX_GRID_POINTS:
+        raise UsageError(f"grid has {count} points; the limit is "
+                         f"{_MAX_GRID_POINTS}")
+    if max(abs(start), abs(start + (count - 1) * step)) > _MAX_GRID_Q:
+        raise UsageError(f"grid reaches beyond |q| = {_MAX_GRID_Q}")
+    return [start + i * step for i in range(count)]
 
 
 def _block_labels(index: int, bp) -> list[tuple[Fraction, str]]:
@@ -174,7 +179,11 @@ def _cmd_build(args) -> int:
 def _load_system(text: str):
     """Breakpoints, value rows and meta of a system JSON document."""
     doc = json.loads(text)
-    return (*map_document_rows(doc), doc.get("meta"))
+    breakpoints, values = map_document_rows(doc)
+    meta = doc.get("meta")
+    if "meta" in doc and not isinstance(meta, dict):
+        raise PgnError("system document 'meta' must be an object")
+    return breakpoints, values, meta
 
 
 def _cmd_validate(args) -> int:
@@ -358,10 +367,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """'--x -1/3' as '--x=-1/3'.  No pgn option starts with '-' and a digit,
+    so such a token is always a value, but argparse takes every one that is
+    not a plain number (-1/3, -1:0:1/2) for an option."""
+    out: list[str] = []
+    for token in argv:
+        if (token[:1] == "-" and token[1:2].isdigit() and out
+                and out[-1].startswith("--") and out[-1] != "--"
+                and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

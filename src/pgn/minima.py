@@ -10,7 +10,9 @@ linear-form body has n unit rows on v_1..v_n (p=0, d=1), then the form row
 (den, nums...) (p=1, d=den); the simultaneous-approximation body has the
 unit row on v_0 (p=-m, d=1), then m rows den*v_i - num_i*v_0 (p=1, d=den).
 The scale e^q is replaced once by the GapFunction's dyadic surrogate E,
-after which every gauge value is an exact rational.
+after which every gauge value is an exact rational.  Weights are kept over
+one common denominator, so a scan yields each gauge as an integer numerator
+g over that denominator; a Fraction is built only for the chosen minima.
 
 One triangular scan, the max-norm form of Fincke-Pohst, serves two
 enumeration strategies with bit-identical results:
@@ -32,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError, format_rational,
                    parse_rational)
@@ -186,8 +190,9 @@ class _RankTracker:
 
 
 def _scan(ib: IntegerBody, radii, bound: int = 0):
-    """(gauge, vector) for one vector of each +- pair in the scan, flipped
-    into canonical order (first nonzero coordinate positive).
+    """(g, vector) for one vector of each +- pair in the scan, flipped into
+    canonical order (first nonzero coordinate positive); the gauge is
+    g / ib.den.
 
     Pivots are set in row order, each over the integers where its row stays
     within its radius given the earlier pivots, or over [-bound, bound] if
@@ -204,11 +209,11 @@ def _scan(ib: IntegerBody, radii, bound: int = 0):
               for (pivot, coeffs), lead, w, r in
               zip(ib.rows, leads, ib.weights, radii)]
     out: list = []
-    _scan_level(levels, bound, ib.den, 0, [0] * len(levels), 0, True, out)
+    _scan_level(levels, bound, 0, [0] * len(levels), 0, True, out)
     return out
 
 
-def _scan_level(levels, bound, den, k, vec, best, free, out):
+def _scan_level(levels, bound, k, vec, best, free, out):
     pivot, lead, reads, weight, radius = levels[k]
     s = sum(a * vec[j] for j, a in reads)
     if radius is None:
@@ -219,7 +224,7 @@ def _scan_level(levels, bound, den, k, vec, best, free, out):
         for v in range(0 if free else lo, hi + 1):
             vec[pivot] = v
             g = abs(lead * v + s) * weight
-            _scan_level(levels, bound, den, k + 1, vec,
+            _scan_level(levels, bound, k + 1, vec,
                         g if g > best else best, free and not v, out)
         return
     for v in range(1 if free else lo, hi + 1):
@@ -228,7 +233,7 @@ def _scan_level(levels, bound, den, k, vec, best, free, out):
         t = tuple(vec)
         if next(filter(None, t)) < 0:
             t = tuple(-c for c in t)
-        out.append((Fraction(g if g > best else best, den), t))
+        out.append((g if g > best else best, t))
 
 
 def _enumerate_box(ib: IntegerBody, bound: int):
@@ -241,24 +246,28 @@ def _enumerate_within(ib: IntegerBody, threshold: Fraction):
     return _scan(ib, ib.radii(threshold))
 
 
-def _greedy_minima(candidates, dim: int):
-    """Select the minima and witnesses from (gauge, vector) candidates.
+def _greedy_minima(candidates, dim: int, den: int):
+    """Select the minima and witnesses from (g, vector) candidates of one
+    scan, each of gauge g / den.
 
     Candidates are ranked by gauge, ties broken by smallest coordinate
     magnitudes then lexicographically, and picked greedily subject to
     exact linear independence; matroid exchange makes the greedy choice
-    optimal."""
-    candidates.sort(key=lambda item: (
-        item[0], tuple(abs(c) for c in item[1]), item[1]))
+    optimal.  As den is shared and positive, the sort is on the integer g
+    alone; the tie-break sorts only the runs of equal g the greedy reaches
+    before it has dim picks."""
+    candidates.sort(key=itemgetter(0))
     tracker = _RankTracker()
     minima: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
-    for value, vec in candidates:
-        if tracker.try_add(vec):
-            minima.append(value)
-            witnesses.append(vec)
-            if len(minima) == dim:
-                break
+    for g, run in groupby(candidates, key=itemgetter(0)):
+        for _, vec in sorted(run, key=lambda item: (
+                tuple(abs(c) for c in item[1]), item[1])):
+            if tracker.try_add(vec):
+                minima.append(Fraction(g, den))
+                witnesses.append(vec)
+                if len(minima) == dim:
+                    return minima, witnesses
     return minima, witnesses
 
 
@@ -285,7 +294,8 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
-    minima, witnesses = _greedy_minima(_enumerate_box(ib, bound), body.dim)
+    minima, witnesses = _greedy_minima(_enumerate_box(ib, bound),
+                                       body.dim, ib.den)
     if len(minima) < body.dim:
         raise BoundTooSmallError(
             f"only {len(minima)} independent vectors in the box of size "
@@ -317,7 +327,7 @@ def successive_minima_certified(body: GaugeBody, q, *,
     threshold = Fraction(1)
     for _ in range(_MAX_DOUBLINGS):
         minima, witnesses = _greedy_minima(_enumerate_within(ib, threshold),
-                                           body.dim)
+                                           body.dim, ib.den)
         if len(minima) == body.dim:
             return MinimaResult(tuple(minima), tuple(witnesses), scale,
                                 math.ceil(ib.reach(minima[-1])), True)
@@ -366,27 +376,20 @@ def minima_profile(body: GaugeBody, grid, *, bound="auto",
     grid = tuple(Fraction(g) for g in grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PgnError("grid must be strictly increasing")
-    scales, minima, logs, witnesses, errors = [], [], [], [], []
+    points = []
     for q in grid:
         try:
             if bound == "auto":
                 res = successive_minima_certified(body, q, gap=gap)
             else:
                 res = successive_minima(body, q, int(bound), gap=gap)
-            scales.append(res.scale)
-            minima.append(res.minima)
-            logs.append(tuple(gap.log(v) for v in res.minima))
-            witnesses.append(res.witnesses)
-            errors.append(None)
+            points.append((res.scale, res.minima,
+                           tuple(gap.log(v) for v in res.minima),
+                           res.witnesses, None))
         except PgnError as exc:
-            scales.append(gap.exp(q))
-            minima.append(None)
-            logs.append(None)
-            witnesses.append(None)
-            errors.append(str(exc))
-    return MinimaProfile(body, gap.bits, str(bound), grid, tuple(scales),
-                         tuple(minima), tuple(logs), tuple(witnesses),
-                         tuple(errors))
+            points.append((gap.exp(q), None, None, None, str(exc)))
+    columns = tuple(zip(*points)) or ((),) * 5
+    return MinimaProfile(body, gap.bits, str(bound), grid, *columns)
 
 
 @dataclass(frozen=True)
@@ -497,24 +500,17 @@ def profile_from_csv(text: str) -> MinimaProfile:
     if header[0] != "q":
         raise PgnError("profile file missing the CSV header row")
     gap = GapFunction(gap_bits)
-    grid, scales, minima, logs, witnesses, errors = [], [], [], [], [], []
+    points = []
     for row in data:
         q = parse_rational(row[0])
-        grid.append(q)
-        scales.append(gap.exp(q))
-        err = row[1 + 3 * d].strip() if len(row) > 1 + 3 * d else ""
         if not row[1].strip():
-            minima.append(None)
-            logs.append(None)
-            witnesses.append(None)
-            errors.append(err or "error")
+            err = row[1 + 3 * d].strip() if len(row) > 1 + 3 * d else ""
+            points.append((q, gap.exp(q), None, None, None, err or "error"))
             continue
-        minima.append(tuple(parse_rational(v) for v in row[1:1 + d]))
-        logs.append(tuple(parse_rational(v) for v in row[1 + d:1 + 2 * d]))
-        witnesses.append(tuple(
-            tuple(int(c) for c in cell.split(";"))
-            for cell in row[1 + 2 * d:1 + 3 * d]))
-        errors.append(None)
-    return MinimaProfile(body, gap_bits, bound_mode, tuple(grid),
-                         tuple(scales), tuple(minima), tuple(logs),
-                         tuple(witnesses), tuple(errors))
+        points.append((q, gap.exp(q),
+                       tuple(parse_rational(v) for v in row[1:1 + d]),
+                       tuple(parse_rational(v) for v in row[1 + d:1 + 2 * d]),
+                       tuple(tuple(int(c) for c in cell.split(";"))
+                             for cell in row[1 + 2 * d:1 + 3 * d]), None))
+    columns = tuple(zip(*points)) or ((),) * 6
+    return MinimaProfile(body, gap_bits, bound_mode, *columns)

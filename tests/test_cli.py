@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import xml.dom.minidom
 from fractions import Fraction as F
 
@@ -123,6 +124,12 @@ class TestMinima:
                          "--out", str(out))
         assert code == 0
 
+    @pytest.mark.parametrize("x", ["-1/3", "-1/3,2/5"])
+    def test_negative_values_as_separate_arguments(self, capsys, x):
+        joined = cli(capsys, "minima", f"--x={x}", "--grid=-1:1:1/2")
+        assert joined[0] == 0
+        assert cli(capsys, "minima", "--x", x, "--grid", "-1:1:1/2") == joined
+
     def test_m_mismatch_is_usage_error(self, capsys):
         code, _, _ = cli(capsys, "minima", "--mode", "simultaneous",
                          "--x", "1/3", "--m", "2", "--grid", "0:1:1")
@@ -226,6 +233,17 @@ class TestExitCodes:
         code, _, err = cli(capsys, "minima", "--x", "0", "--grid", "0:4")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0:1:1/10000000000",
+                                      "0:100000000:100000000"],
+                             ids=["count", "magnitude"])
+    def test_huge_grid_refused_before_allocating(self, capsys, grid):
+        start = time.perf_counter()
+        code, out, err = cli(capsys, "minima", "--x", "1/3", "--grid", grid)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not out
+        assert err.startswith("usage error: grid ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSystemDocuments:
     """validate, diagnose and plot read system JSON through one loader."""
@@ -252,6 +270,16 @@ class TestSystemDocuments:
         code, _, err = cli(capsys, *argv, self._write(tmp_path, [1, 2]))
         assert code == 3
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["plot", "--input"],
+                                      ["diagnose", "--w", "6", "--input"]],
+                             ids=["plot", "diagnose"])
+    def test_non_object_meta_exits_3(self, capsys, tmp_path, argv):
+        doc = {"n": 2, **self.THREE_COMPONENTS, "meta": 5}
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err.startswith("error: ") and "meta" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_repeated_breakpoint_is_a_continuity_violation(self, capsys,
                                                            tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from pgn import (BoundTooSmallError, GapFunction, GaugeBody, LINEAR_FORM,
                  profile_from_csv, profile_to_csv, successive_minima,
                  successive_minima_certified)
 
-from oracles import (cf_lambda1, integer_rank, oracle_minima_values,
-                     subsets_minima_values)
+from oracles import (cf_lambda1, integer_rank, oracle_gauge,
+                     oracle_minima_values, subsets_minima_values)
 
 GAP = GapFunction()
 
@@ -308,3 +309,56 @@ def test_window_minima_match_rank_oracle_in_both_modes(case):
     expected = oracle_minima_values(body.mode, body.x, scale,
                                     math.ceil(bound))
     assert list(res.minima) == expected
+
+
+def _full_sort_selection(mode, x, scale, bound):
+    """The selection restated without the engine: every canonical vector of
+    the box, fully sorted on (Fraction gauge, coordinate magnitudes, vector),
+    then picked greedily by exact rank."""
+    dim = len(x) + 1
+    items = sorted(
+        (oracle_gauge(mode, x, scale, vec), tuple(abs(c) for c in vec), vec)
+        for vec in product(range(-bound, bound + 1), repeat=dim)
+        if any(vec) and next(c for c in vec if c) > 0)
+    minima, witnesses = [], []
+    for g, _, vec in items:
+        if integer_rank(witnesses + [vec]) > len(witnesses):
+            minima.append(g)
+            witnesses.append(vec)
+            if len(minima) == dim:
+                break
+    return minima, witnesses
+
+
+def _assert_tie_break(mode, x, scale, bound):
+    body = GaugeBody(mode, x)
+    box = successive_minima(body, 0, bound, scale=scale,
+                            require_certificate=False)
+    assert ((list(box.minima), list(box.witnesses))
+            == _full_sort_selection(mode, body.x, scale, bound))
+    # a box of max-norm >= the certificate holds every vector of gauge
+    # <= lambda_dim, so the full sort over it selects what the window does
+    window = successive_minima_certified(body, 0, scale=scale)
+    assert ((list(window.minima), list(window.witnesses))
+            == _full_sort_selection(mode, body.x, scale,
+                                    max(bound, window.bound)))
+
+
+class TestTieBreak:
+    @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+    @pytest.mark.parametrize("x", [(F(1, 2),), (F(1, 3), F(2, 3))],
+                             ids=["half", "thirds"])
+    @pytest.mark.parametrize("scale", [F(1), F(2)], ids=["E=1", "E=2"])
+    def test_matches_full_sort_on_tie_heavy_bodies(self, mode, x, scale):
+        _assert_tie_break(mode, x, scale, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]),
+       st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       st.data(),
+       st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)]),
+       st.integers(1, 6))
+def test_selection_matches_full_sort(mode, dens, data, scale, bound):
+    x = tuple(F(data.draw(st.integers(-d, d)), d) for d in dens)
+    _assert_tie_break(mode, x, scale, bound)
