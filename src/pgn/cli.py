@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 computation
 error.  All file outputs are deterministic (byte-identical for identical
-inputs) and written atomically.
+inputs) and written atomically.  PGN_GAP_BITS sets the log/exp precision of
+build and minima, which record it; diagnose and plot read the precision and
+n from the document.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .minima import (GaugeBody, LINEAR_FORM, SIMULTANEOUS, minima_profile,
 from .svg import PlotSpec, render_svg
 from .template import (BETA_BOUNDED, BETA_LOG, TemplateParams, build_block,
                        build_system, default_rn, derive_alpha_beta,
-                       params_from_meta)
+                       system_meta)
 from .validator import validate_raw
 
 EXIT_OK = 0
@@ -42,6 +44,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # exact names: '--n' is not '--nu'
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -95,8 +100,7 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [start + i * step for i in range(count)]
 
 
-def _block_labels(index: int, bp) -> list[tuple[Fraction, str]]:
-    k = index
+def _block_labels(k: int, bp) -> list[tuple[Fraction, str]]:
     return [
         (bp.q_k, f"q_{k}"), (bp.r_k, f"r_{k}"), (bp.s_k_m, f"s_{k}^m"),
         (bp.s_k, f"s_{k}"), (bp.s_k_M, f"s_{k}^M"), (bp.t_k, f"t_{k}"),
@@ -104,16 +108,16 @@ def _block_labels(index: int, bp) -> list[tuple[Fraction, str]]:
     ]
 
 
-def _block_figure(params: TemplateParams, k: int, q_k, gap: GapFunction) -> str:
+def _block_figure(params: TemplateParams, k: int, q_k) -> str:
     """One block with its delta=0 and delta=1 siblings dotted, as in the
     generic-block figure."""
-    block, bp = build_block(params, k, q_k, gap)
+    block, bp = build_block(params, k, q_k)
     overlays = []
     for endpoint in (Fraction(0), Fraction(1)):
         if endpoint == params.delta:
             continue
         variant = dataclasses.replace(params, delta=endpoint)
-        overlays.append(build_block(variant, k, q_k, gap)[0])
+        overlays.append(build_block(variant, k, q_k)[0])
     labels = [(q, lab) for q, lab in _block_labels(k, bp)
               if bp.q_k <= q <= bp.q_k1]
     # collapse labels at coinciding points (e.g. s_k = s_k^m at delta = 1)
@@ -140,16 +144,13 @@ def _breakpoints_csv(blocks) -> str:
 
 
 def _cmd_build(args) -> int:
-    gap_bits = args.gap_bits or _gap_bits_default()
+    gap_bits = _gap_bits_default()
     gap = GapFunction(gap_bits)
     n = args.n
     w = parse_rational(args.w)
     rn = parse_rational(args.rn) if args.rn else default_rn(n)
-    alpha = beta = None
-    if args.alpha:
-        alpha = parse_rational(args.alpha)
-    if args.beta:
-        beta = parse_rational(args.beta)
+    alpha = parse_rational(args.alpha) if args.alpha else None
+    beta = parse_rational(args.beta) if args.beta else None
     if args.epsilon or args.nu:
         eps = parse_rational(args.epsilon) if args.epsilon else Fraction(1, 2)
         nu = parse_rational(args.nu) if args.nu else Fraction(1, 2)
@@ -166,28 +167,29 @@ def _cmd_build(args) -> int:
         q1=parse_rational(args.q1), blocks=args.blocks,
         beta=beta if beta_mode == BETA_BOUNDED else None,
         beta_mode=beta_mode, gap_bits=gap_bits, paper_qk1=args.paper_qk1)
-    built = build_system(params, gap)
+    built = build_system(params)
     doc = json.dumps(built.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(args.out, doc)
     if args.svg:
-        _write_output(args.svg, _block_figure(params, 1, params.q1, gap))
+        _write_output(args.svg, _block_figure(params, 1, params.q1))
     if args.breakpoints_csv:
         _write_output(args.breakpoints_csv, _breakpoints_csv(built.blocks))
     return EXIT_OK
 
 
 def _load_system(text: str):
-    """Breakpoints, value rows and meta of a system JSON document."""
+    """Breakpoints, value rows, template parameters (None without a
+    template) and block starts q_1..q_{K+1} of a system JSON document."""
     doc = json.loads(text)
     breakpoints, values = map_document_rows(doc)
-    meta = doc.get("meta")
-    if "meta" in doc and not isinstance(meta, dict):
-        raise PgnError("system document 'meta' must be an object")
-    return breakpoints, values, meta
+    params, starts = system_meta(doc.get("meta", {}))
+    if params is not None and params.n != int(doc["n"]):
+        raise PgnError(f"template n={params.n} disagrees with n={doc['n']}")
+    return breakpoints, values, params, starts
 
 
 def _cmd_validate(args) -> int:
-    breakpoints, values, _ = _load_system(_read_input(args.system))
+    breakpoints, values, _, _ = _load_system(_read_input(args.system))
     report = validate_raw(breakpoints, values)
     for violation in report.violations:
         print(json.dumps(violation.to_json_dict(), sort_keys=True))
@@ -197,7 +199,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_minima(args) -> int:
-    gap = GapFunction(args.gap_bits or _gap_bits_default())
+    gap = GapFunction(_gap_bits_default())
     x = tuple(parse_rational(part) for part in args.x.split(","))
     mode = LINEAR_FORM if args.mode == "linear-form" else SIMULTANEOUS
     if args.m is not None and args.m != len(x):
@@ -217,36 +219,29 @@ def _cmd_minima(args) -> int:
 
 def _load_subject(path: str):
     text = _read_input(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        breakpoints, values, meta = _load_system(text)
-        return PiecewiseLinearMap(breakpoints, values), meta, None
-    profile = profile_from_csv(text)
-    return None, None, profile
+    if text.lstrip().startswith("{"):
+        breakpoints, values, params, _ = _load_system(text)
+        return PiecewiseLinearMap(breakpoints, values), params, None
+    return None, None, profile_from_csv(text)
 
 
 def _cmd_diagnose(args) -> int:
-    gap = GapFunction(args.gap_bits or _gap_bits_default())
-    system, meta, profile = _load_subject(args.input)
+    system, params, profile = _load_subject(args.input)
     tail = parse_rational(args.tail_from) if args.tail_from else None
     epsilon = parse_rational(args.epsilon) if args.epsilon else None
     nu = parse_rational(args.nu) if args.nu else None
     w = parse_rational(args.w) if args.w else None
+    if w is None and params is None:
+        raise UsageError("--w is required for a profile or a system "
+                         "without template metadata")
     if profile is not None:
-        if w is None:
-            raise UsageError("--w is required to diagnose a profile")
         report = analyze_profile(profile, w, tail_start=tail,
-                                 epsilon=epsilon, nu=nu, gap=gap)
+                                 epsilon=epsilon, nu=nu)
     else:
-        n = args.n
-        if n is None and meta and "template" in meta:
-            n = int(meta["template"]["n"])
-        if w is None and meta and "template" in meta:
-            w = parse_rational(meta["template"]["w"])
-        if n is None or w is None:
-            raise UsageError("--n and --w are required (no template metadata)")
-        report = analyze(system, n, w, tail_start=tail, epsilon=epsilon,
-                         nu=nu, gap=gap)
+        gap = params.gap() if params else GapFunction(_gap_bits_default())
+        report = analyze(system, system.n_components - 1,
+                         params.w if w is None else w, tail_start=tail,
+                         epsilon=epsilon, nu=nu, gap=gap)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -265,31 +260,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    gap = GapFunction(args.gap_bits or _gap_bits_default())
-    breakpoints, values, meta = _load_system(_read_input(args.input))
-    subject = PiecewiseLinearMap(breakpoints, values)
+    breakpoints, values, params, starts = _load_system(_read_input(args.input))
     if args.block is not None:
-        if not meta or "template" not in meta:
+        if params is None:
             raise UsageError("--block needs template metadata in the file")
-        params = params_from_meta(meta["template"])
-        blocks = meta.get("blocks", [])
-        if not (1 <= args.block <= len(blocks)):
-            raise UsageError(f"--block out of range 1..{len(blocks)}")
-        q_k = parse_rational(blocks[args.block - 1]["q_k"])
-        _write_output(args.out, _block_figure(params, args.block, q_k, gap))
+        if not (1 <= args.block < len(starts)):
+            raise UsageError(f"--block out of range 1..{len(starts[1:])}")
+        _write_output(args.out, _block_figure(params, args.block,
+                                              starts[args.block - 1]))
         return EXIT_OK
-    annotations = []
-    if meta and "blocks" in meta:
-        for row in meta["blocks"]:
-            annotations.append((parse_rational(row["q_k"]), f"q_{row['k']}"))
-        annotations.append((parse_rational(meta["blocks"][-1]["q_k1"]),
-                            f"q_{len(meta['blocks']) + 1}"))
-    guide_n = guide_w = None
-    if args.guides and meta and "template" in meta:
-        guide_n = int(meta["template"]["n"])
-        guide_w = parse_rational(meta["template"]["w"])
-    spec = PlotSpec(subject=subject, annotations=tuple(annotations),
-                    guide_n=guide_n, guide_w=guide_w,
+    guides = args.guides and params is not None
+    spec = PlotSpec(subject=PiecewiseLinearMap(breakpoints, values),
+                    annotations=tuple((q, f"q_{k}")
+                                      for k, q in enumerate(starts, 1)),
+                    guide_n=params.n if guides else None,
+                    guide_w=params.w if guides else None,
                     width=args.width, height=args.height)
     _write_output(args.out, render_svg(spec))
     return EXIT_OK
@@ -312,7 +297,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", default="1/2")
     p.add_argument("--q1", required=True)
     p.add_argument("--blocks", type=int, default=10)
-    p.add_argument("--gap-bits", type=int)
     p.add_argument("--paper-qk1", action="store_true",
                    help="use the alternative printed step for q_{k+1} "
                         "(produces a map the validator rejects)")
@@ -334,18 +318,15 @@ def _build_parser() -> _Parser:
                    help="expected target count (consistency check)")
     p.add_argument("--grid", required=True, help="start:stop:step")
     p.add_argument("--bound", default="auto")
-    p.add_argument("--gap-bits", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_minima)
 
     p = sub.add_parser("diagnose", help="tail margins and exponent estimate")
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int)
     p.add_argument("--w")
     p.add_argument("--epsilon")
     p.add_argument("--nu")
     p.add_argument("--tail-from")
-    p.add_argument("--gap-bits", type=int)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("compare", help="bounded-distance comparison")
@@ -362,7 +343,6 @@ def _build_parser() -> _Parser:
                    default=True)
     p.add_argument("--width", type=int, default=900)
     p.add_argument("--height", type=int, default=540)
-    p.add_argument("--gap-bits", type=int)
     p.set_defaults(func=_cmd_plot)
     return parser
 

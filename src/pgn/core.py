@@ -31,8 +31,13 @@ class StructureError(PgnError, ValueError):
     """Malformed raw map data (unsorted breakpoints, ragged rows, ...)."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "a/b", integer or decimal literals exactly into a Fraction."""
+def parse_rational(text: str | int) -> Fraction:
+    """Parse "a/b", integer or decimal literals, or an int (a JSON integer),
+    exactly into a Fraction; anything else, bool included, is refused."""
+    if type(text) is int:
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise PgnError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -31,6 +31,8 @@ the desk-scale limit refuses the grid point.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,22 +171,24 @@ def is_form_kernel(body: GaugeBody, vec) -> bool:
 
 
 class _RankTracker:
-    """Exact incremental rank over the rationals."""
+    """Exact incremental rank of integer vectors by fraction-free
+    elimination: each kept row is an integer vector with its pivot."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: list[tuple[int, tuple[Fraction, ...]]] = []
+        self.rows: list[tuple[int, list[int]]] = []
 
     def try_add(self, vec) -> bool:
-        v = [Fraction(c) for c in vec]
+        v = list(vec)
         for pivot, row in self.rows:
             c = v[pivot]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                lead = row[pivot]
+                v = [a * lead - c * b for a, b in zip(v, row)]
         for pivot, c in enumerate(v):
             if c:
-                self.rows.append((pivot, tuple(a / c for a in v)))
+                self.rows.append((pivot, v))
                 return True
         return False
 
@@ -458,7 +462,10 @@ def profile_to_csv(profile: MinimaProfile) -> str:
     header = (["q"] + [f"lambda_{i}" for i in range(1, d + 1)]
               + [f"L_{i}" for i in range(1, d + 1)]
               + [f"witness_{i}" for i in range(1, d + 1)] + ["error"])
-    lines.append(",".join(header))
+    out = io.StringIO()
+    out.write("\n".join(lines) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for i, q in enumerate(profile.grid):
         row = [format_rational(q)]
         if profile.minima[i] is None:
@@ -468,13 +475,24 @@ def profile_to_csv(profile: MinimaProfile) -> str:
             row += [format_rational(v) for v in profile.logs[i]]
             row += [";".join(str(c) for c in w) for w in profile.witnesses[i]]
             row += [""]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _witness(cell: str, dim: int) -> tuple[int, ...]:
+    try:
+        vec = tuple(int(c) for c in cell.split(";"))
+    except ValueError as exc:
+        raise PgnError(f"profile witness {cell!r} is not integers") from exc
+    if len(vec) != dim:
+        raise PgnError(f"profile witness {cell!r} has {len(vec)} "
+                       f"coordinates, expected {dim}")
+    return vec
 
 
 def profile_from_csv(text: str) -> MinimaProfile:
     meta: dict[str, str] = {}
-    rows: list[list[str]] = []
+    data_lines: list[str] = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -484,7 +502,8 @@ def profile_from_csv(text: str) -> MinimaProfile:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue
-        rows.append(line.split(","))
+        data_lines.append(line)
+    rows = list(csv.reader(data_lines))
     if not rows:
         raise PgnError("empty profile file")
     try:
@@ -494,6 +513,8 @@ def profile_from_csv(text: str) -> MinimaProfile:
         bound_mode = meta.get("bound", "auto")
     except KeyError as exc:
         raise PgnError(f"profile file missing metadata {exc}") from exc
+    except ValueError as exc:
+        raise PgnError(f"profile file has malformed metadata: {exc}") from exc
     body = GaugeBody(mode, x)
     d = body.dim
     header, data = rows[0], rows[1:]
@@ -501,16 +522,19 @@ def profile_from_csv(text: str) -> MinimaProfile:
         raise PgnError("profile file missing the CSV header row")
     gap = GapFunction(gap_bits)
     points = []
-    for row in data:
+    for number, row in enumerate(data, 1):
+        if len(row) != 3 * d + 2:
+            raise PgnError(f"profile data row {number} has {len(row)} "
+                           f"cells, expected {3 * d + 2}")
         q = parse_rational(row[0])
         if not row[1].strip():
-            err = row[1 + 3 * d].strip() if len(row) > 1 + 3 * d else ""
+            err = row[1 + 3 * d].strip()
             points.append((q, gap.exp(q), None, None, None, err or "error"))
             continue
         points.append((q, gap.exp(q),
                        tuple(parse_rational(v) for v in row[1:1 + d]),
                        tuple(parse_rational(v) for v in row[1 + d:1 + 2 * d]),
-                       tuple(tuple(int(c) for c in cell.split(";"))
+                       tuple(_witness(cell, d)
                              for cell in row[1 + 2 * d:1 + 3 * d]), None))
     columns = tuple(zip(*points)) or ((),) * 6
     return MinimaProfile(body, gap_bits, bound_mode, *columns)

@@ -375,3 +375,22 @@ def params_from_meta(meta: dict) -> TemplateParams:
         )
     except KeyError as exc:
         raise PgnError(f"template meta missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PgnError(f"malformed template meta: {exc}") from exc
+
+
+def system_meta(meta: dict) -> tuple[TemplateParams | None, tuple]:
+    """Template parameters (None if absent) and block starts q_1..q_{K+1}
+    (empty if absent) of a system document's meta, as to_json_dict writes."""
+    if not isinstance(meta, dict):
+        raise PgnError("system document 'meta' must be an object")
+    params = params_from_meta(meta["template"]) if "template" in meta else None
+    if "blocks" not in meta:
+        return params, ()
+    rows = meta["blocks"]
+    try:
+        return params, tuple([parse_rational(row["q_k"]) for row in rows]
+                             + [parse_rational(rows[-1]["q_k1"])])
+    except (KeyError, TypeError, IndexError) as exc:
+        raise PgnError("meta 'blocks' must be a nonempty list of rows with "
+                       "q_k and q_k1") from exc

@@ -1,5 +1,8 @@
 import io
 import json
+import pathlib
+import re
+import shlex
 import time
 import xml.dom.minidom
 from fractions import Fraction as F
@@ -8,6 +11,7 @@ import pytest
 
 from pgn import PiecewiseLinearMap, validate
 from pgn.cli import run
+from pgn.template import TemplateParams, build_system
 
 
 def cli(capsys, *argv):
@@ -167,6 +171,28 @@ class TestDiagnoseCompare:
         assert report["omega_is_infinite"] is True
         assert report["omega_estimate"] == "inf"
 
+    @pytest.mark.parametrize("make", [
+        BUILD + ["--out"],
+        ["minima", "--x", "2/3", "--grid", "0:4:1", "--out"]],
+        ids=["system", "profile"])
+    def test_precision_comes_from_the_document(self, capsys, tmp_path,
+                                               monkeypatch, make):
+        doc = tmp_path / "doc"
+        diagnose = ["diagnose", "--input", str(doc), "--w", "3",
+                    "--epsilon", "1/2", "--nu", "1/2"]
+        monkeypatch.setenv("PGN_GAP_BITS", "96")
+        assert cli(capsys, *make, str(doc))[0] == 0
+        code, stdout, _ = cli(capsys, *diagnose)
+        assert code == 0
+        with_env = json.loads(stdout)
+        monkeypatch.delenv("PGN_GAP_BITS")
+        code, stdout, _ = cli(capsys, *diagnose)
+        assert code == 0
+        report = json.loads(stdout)
+        for key in ("di_threshold", "dw_threshold"):
+            assert report[key] == with_env[key]
+            assert F(report[key]).denominator.bit_length() > 90
+
     def test_compare(self, capsys, tmp_path):
         system = tmp_path / "system.json"
         prof = tmp_path / "profile.csv"
@@ -215,6 +241,18 @@ class TestPlot:
         assert code == 0
         xml.dom.minidom.parseString(fig.read_text())
 
+    def test_block_plot_reads_precision_from_the_document(
+            self, capsys, tmp_path, monkeypatch):
+        system, built, plotted = (tmp_path / name for name in
+                                  ("system.json", "built.svg", "plot.svg"))
+        monkeypatch.setenv("PGN_GAP_BITS", "96")
+        assert cli(capsys, *BUILD, "--out", str(system),
+                   "--svg", str(built))[0] == 0
+        monkeypatch.delenv("PGN_GAP_BITS")
+        assert cli(capsys, "plot", "--input", str(system), "--block", "1",
+                   "--out", str(plotted))[0] == 0
+        assert plotted.read_bytes() == built.read_bytes()
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -228,6 +266,34 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = cli(capsys, "validate", "/nonexistent/x.json")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--input", "x.json", "--n", "2"],
+        BUILD + ["--gap-bits", "64"],
+        ["minima", "--x", "1/3", "--grid", "0:1:1", "--gap-bits", "64"],
+        ["diagnose", "--input", "x.json", "--w", "3", "--gap-bits", "64"],
+        ["plot", "--input", "x.json", "--gap-bits", "64"]],
+        ids=["diagnose-n", "build", "minima", "diagnose", "plot"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        code, out, err = cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("row, message", [
+        ("0", "data row 1 has 1 cells"),
+        ("0,1,1,0,0,1;0,0;1;1,", "witness '0;1;1' has 3 coordinates")],
+        ids=["short-row", "long-witness"])
+    def test_malformed_profile_row_exits_3(self, capsys, tmp_path, row,
+                                           message):
+        path = tmp_path / "profile.csv"
+        path.write_text("# pgn-profile v1\n# mode=linear-form\n# x=2/3\n"
+                        "q,lambda_1,lambda_2,L_1,L_2,witness_1,witness_2,"
+                        f"error\n{row}\n")
+        code, out, err = cli(capsys, "diagnose", "--input", str(path),
+                             "--w", "1")
+        assert code == 3 and not out
+        assert err.startswith("error: profile ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_grid(self, capsys):
         code, _, err = cli(capsys, "minima", "--x", "0", "--grid", "0:4")
@@ -281,6 +347,47 @@ class TestSystemDocuments:
         assert err.startswith("error: ") and "meta" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_json_integers_validate_like_strings(self, capsys, tmp_path):
+        doc = {"n": 1, "breakpoints": [0, 1], "values": [[0, 0], [1, 1]]}
+        as_ints = cli(capsys, "validate", self._write(tmp_path, doc))
+        strings = {"n": 1, "breakpoints": ["0", "1"],
+                   "values": [["0", "0"], ["1", "1"]]}
+        assert cli(capsys, "validate", self._write(tmp_path, strings)) \
+            == as_ints
+        assert as_ints[0] == 2 and not as_ints[2]
+
+    @pytest.mark.parametrize("value", [0.5, None, True, [1]],
+                             ids=["float", "null", "bool", "list"])
+    def test_non_rational_json_value_exits_3(self, capsys, tmp_path, value):
+        doc = {"n": 1, "breakpoints": [0, value], "values": [[0, 0], [1, 1]]}
+        code, out, err = cli(capsys, "validate", self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    BUILT = build_system(TemplateParams(
+        n=2, w=3, alpha=1, beta=F(1, 2), delta=F(1, 2), q1=100,
+        blocks=2)).to_json_dict()
+    TEMPLATE = BUILT["meta"]["template"]
+    BAD_META = {
+        "template-5": {"template": 5},
+        "blocks-5": {"blocks": 5},
+        "blocks-empty": {"blocks": []},
+        "no-alpha": {"template": {k: v for k, v in TEMPLATE.items()
+                                  if k != "alpha"}},
+        "w-list": {"template": {**TEMPLATE, "w": []}},
+    }
+
+    @pytest.mark.parametrize("meta", list(BAD_META), ids=list(BAD_META))
+    @pytest.mark.parametrize("argv", [["diagnose", "--input"],
+                                      ["plot", "--input"],
+                                      ["plot", "--block", "1", "--input"]],
+                             ids=["diagnose", "plot", "plot-block"])
+    def test_malformed_meta_exits_3(self, capsys, tmp_path, argv, meta):
+        doc = {**self.BUILT, "meta": self.BAD_META[meta]}
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_repeated_breakpoint_is_a_continuity_violation(self, capsys,
                                                            tmp_path):
         doc = {"n": 1, "breakpoints": ["0", "1", "1", "2"],
@@ -291,3 +398,25 @@ class TestSystemDocuments:
         axioms = [json.loads(line).get("axiom")
                   for line in out.strip().splitlines()[:-1]]
         assert "continuity" in axioms
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every 'pgn ...' line of README's sh blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pgn "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        code, _, err = cli(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -267,6 +268,32 @@ class TestProfileSerialization:
     def test_rejects_empty(self):
         with pytest.raises(PgnError):
             profile_from_csv("")
+
+    def test_rejects_non_integer_gap_bits(self):
+        with pytest.raises(PgnError, match="malformed metadata"):
+            profile_from_csv("# mode=linear-form\n# x=2/3\n# gap_bits=abc\n"
+                             "q,lambda_1,lambda_2,L_1,L_2,witness_1,"
+                             "witness_2,error\n")
+
+
+_ERROR_PROFILE = minima_profile(GaugeBody(LINEAR_FORM, (F(1, 3),)),
+                                [F(0), F(8)], bound=4)
+# one-line texts: no control or line-separator characters, which
+# str.splitlines would break on
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl",
+                                                         "Zp")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINE_TEXT, _LINE_TEXT)
+def test_error_text_with_comma_and_quote_round_trips(head, tail):
+    message = f'{head}, "{tail}"'.strip()
+    prof = dataclasses.replace(_ERROR_PROFILE, errors=(None, message))
+    text = profile_to_csv(prof)
+    back = profile_from_csv(text)
+    assert back.errors == (None, message)
+    assert back.minima == prof.minima and back.witnesses == prof.witnesses
+    assert profile_to_csv(back) == text
 
 
 @settings(max_examples=40, deadline=None)
