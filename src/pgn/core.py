@@ -44,6 +44,13 @@ def parse_rational(text: str | int) -> Fraction:
         raise PgnError(f"not a rational literal: {text!r}") from exc
 
 
+def exact_type(value, kind: type):
+    """value itself if its type is kind exactly (so a bool is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -195,7 +202,7 @@ class GapFunction:
 
 
 def _as_fraction_tuple(row: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in row)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ class PiecewiseLinearMap:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
+        bps = _as_fraction_tuple(self.breakpoints)
         rows = tuple(_as_fraction_tuple(r) for r in self.values)
         if len(bps) < 2:
             raise StructureError("a map needs at least two breakpoints")
@@ -281,7 +288,7 @@ def map_document_rows(doc) -> tuple[list[Fraction], list[list[Fraction]]]:
     if not isinstance(doc, dict):
         raise StructureError("a map document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = exact_type(doc["n"], int)
         bps = [parse_rational(b) for b in doc["breakpoints"]]
         rows = [[parse_rational(v) for v in row] for row in doc["values"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,11 +1,11 @@
 """Deterministic SVG rendering of piecewise-linear maps.
 
-Byte-identical output for identical inputs: coordinates are computed over
-the rationals and rounded once to fixed decimal places, no floats, no
-timestamps.  One polyline per component (first component emitted first, so
-it sits at the bottom of the stack at the left edge for ordered maps),
-optional dotted overlays, dashed verticals with labels at annotated
-breakpoints, and gray guide lines q/(n+1) and q/(w+1).
+Byte-identical output for identical inputs, with no floats and no
+timestamps: each coordinate is an exact rational, rounded half to even at 3
+decimal places by one integer division.  One polyline per component (first
+component emitted first, so it sits at the bottom of the stack at the left
+edge for ordered maps), optional dotted overlays, dashed verticals with
+labels at annotated breakpoints, and gray guide lines q/(n+1) and q/(w+1).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
-from .core import PgnError, PiecewiseLinearMap
+from .core import PgnError, PiecewiseLinearMap, _round_half_even
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,24 @@ class PlotSpec:
     title: str = ""
 
 
-def _decimal(x: Fraction, places: int = 3) -> str:
-    """Exact fixed-point decimal string, round half to even."""
-    x = Fraction(x)
-    scale = 10 ** places
-    num, den = (x * scale).numerator, (x * scale).denominator
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q % 2):
-        q += 1
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+def _axis(base: int, lo: Fraction, hi: Fraction, span: int):
+    """v -> base + (v - lo)*span/(hi - lo) as a decimal string with 3
+    places, rounded half to even.  With v = a/b the milli-units are
+    (a*p + b*r) / (b*s) for integers fixed once per axis, so a coordinate
+    costs a few integer products and one division."""
+    k = Fraction(1000 * span) / (hi - lo)
+    p, s = lo.denominator * k.numerator, lo.denominator * k.denominator
+    r = 1000 * base * s - lo.numerator * k.numerator
+
+    def coordinate(v: Fraction) -> str:
+        b = v.denominator
+        milli = _round_half_even(v.numerator * p + b * r, b * s)
+        whole, frac = divmod(abs(milli), 1000)
+        return f"{'-' if milli < 0 else ''}{whole}.{frac:03d}"
+    return coordinate
+
+
+_MARGIN, _LABEL_BAND = 50, 34
 
 
 class _Frame:
@@ -50,37 +55,22 @@ class _Frame:
         self.q_lo = min(m.domain[0] for m in maps)
         self.q_hi = max(m.domain[1] for m in maps)
         vals = [v for m in maps for row in m.values for v in row]
-        for guide in (spec.guide_n, spec.guide_w):
-            if guide is not None:
-                vals.append(self.q_lo / (Fraction(guide) + 1))
-                vals.append(self.q_hi / (Fraction(guide) + 1))
-        self.v_lo, self.v_hi = min(vals), max(vals)
-        if self.v_lo == self.v_hi:
-            self.v_lo -= 1
-            self.v_hi += 1
-        pad = (self.v_hi - self.v_lo) / 12
-        self.v_lo -= pad
-        self.v_hi += pad
-        self.margin = 50
-        self.label_band = 34
-        self.width = spec.width
-        self.height = spec.height
-
-    def x(self, q: Fraction) -> str:
-        t = (Fraction(q) - self.q_lo) / (self.q_hi - self.q_lo)
-        return _decimal(self.margin + t * (self.width - 2 * self.margin))
-
-    def y(self, v: Fraction) -> str:
-        t = (Fraction(v) - self.v_lo) / (self.v_hi - self.v_lo)
-        usable = self.height - self.margin - self.label_band
-        return _decimal(self.height - self.label_band - t * (usable - self.margin // 2))
+        vals += [q / (Fraction(guide) + 1) for q in (self.q_lo, self.q_hi)
+                 for guide in (spec.guide_n, spec.guide_w) if guide is not None]
+        lo, hi = min(vals), max(vals)
+        if lo == hi:
+            lo, hi = lo - 1, hi + 1
+        pad = (hi - lo) / 12
+        self.v_lo, self.v_hi = lo - pad, hi + pad
+        usable = spec.height - _MARGIN - _LABEL_BAND
+        self.x = _axis(_MARGIN, self.q_lo, self.q_hi, spec.width - 2 * _MARGIN)
+        self.y = _axis(spec.height - _LABEL_BAND, self.v_lo, self.v_hi,
+                       _MARGIN // 2 - usable)
 
 
-def _polyline(frame: _Frame, m: PiecewiseLinearMap, component: int,
-              cls: str) -> str:
-    pts = " ".join(
-        f"{frame.x(q)},{frame.y(row[component])}"
-        for q, row in zip(m.breakpoints, m.values))
+def _polyline(y, xs: list[str], m: PiecewiseLinearMap,
+              component: int, cls: str) -> str:
+    pts = " ".join(f"{x},{y(row[component])}" for x, row in zip(xs, m.values))
     return f'<polyline class="{cls}" points="{pts}"/>'
 
 
@@ -106,7 +96,7 @@ def render_svg(spec: PlotSpec) -> str:
         "</style>")
     parts.append(f'<rect width="{spec.width}" height="{spec.height}" fill="#fff"/>')
     if spec.title:
-        parts.append(f'<text class="title" x="{frame.margin}" y="20">'
+        parts.append(f'<text class="title" x="{_MARGIN}" y="20">'
                      f"{escape(spec.title)}</text>")
 
     for guide, name in ((spec.guide_n, "n"), (spec.guide_w, "w")):
@@ -120,21 +110,20 @@ def render_svg(spec: PlotSpec) -> str:
         parts.append(f'<text class="guide-label" x="{x2}" y="{y2}" dx="2">'
                      f"q/({name}+1)</text>")
 
+    y_top, y_bot = frame.y(frame.v_hi), frame.y(frame.v_lo)
     for q, label in spec.annotations:
         x = frame.x(q)
-        y_top = frame.y(frame.v_hi)
-        y_bot = frame.y(frame.v_lo)
         parts.append(f'<line class="bp" x1="{x}" y1="{y_top}" '
                      f'x2="{x}" y2="{y_bot}"/>')
         parts.append(
             f'<text class="bp-label" x="{x}" '
-            f'y="{frame.height - 10}">{escape(label)}</text>')
+            f'y="{spec.height - 10}">{escape(label)}</text>')
 
-    for overlay in spec.overlays:
-        for d in range(overlay.n_components):
-            parts.append(_polyline(frame, overlay, d, "overlay"))
-    for d in range(spec.subject.n_components):
-        parts.append(_polyline(frame, spec.subject, d, "component"))
+    layers = [(m, "overlay") for m in spec.overlays]
+    for m, cls in (*layers, (spec.subject, "component")):
+        xs = [frame.x(q) for q in m.breakpoints]
+        for d in range(m.n_components):
+            parts.append(_polyline(frame.y, xs, m, d, cls))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

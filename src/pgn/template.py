@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
-                   PiecewiseLinearMap, concatenate, format_rational,
-                   parse_rational)
+                   PiecewiseLinearMap, concatenate, exact_type,
+                   format_rational, parse_rational)
 
 BETA_BOUNDED = "bounded"
 BETA_LOG = "log"
@@ -362,16 +362,16 @@ def template_to_meta(params: TemplateParams) -> dict:
 def params_from_meta(meta: dict) -> TemplateParams:
     try:
         return TemplateParams(
-            n=int(meta["n"]),
+            n=exact_type(meta["n"], int),
             w=parse_rational(meta["w"]),
             alpha=parse_rational(meta["alpha"]),
             delta=parse_rational(meta["delta"]),
             q1=parse_rational(meta["q1"]),
-            blocks=int(meta["blocks"]),
+            blocks=exact_type(meta["blocks"], int),
             beta=parse_rational(meta["beta"]) if "beta" in meta else None,
             beta_mode=meta.get("beta_mode", BETA_BOUNDED),
-            gap_bits=int(meta.get("gap_bits", DEFAULT_GAP_BITS)),
-            paper_qk1=bool(meta.get("paper_qk1", False)),
+            gap_bits=exact_type(meta.get("gap_bits", DEFAULT_GAP_BITS), int),
+            paper_qk1=exact_type(meta.get("paper_qk1", False), bool),
         )
     except KeyError as exc:
         raise PgnError(f"template meta missing field {exc}") from exc

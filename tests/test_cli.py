@@ -347,6 +347,19 @@ class TestSystemDocuments:
         assert err.startswith("error: ") and "meta" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("n", [1.9, True, "1"],
+                             ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--w", "3", "--input"],
+                                      ["plot", "--input"]],
+                             ids=["validate", "diagnose", "plot"])
+    def test_non_integer_n_exits_3(self, capsys, tmp_path, argv, n):
+        doc = {"n": n, "breakpoints": ["0", "1"],
+               "values": [["0", "0"], ["1", "1"]]}
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_json_integers_validate_like_strings(self, capsys, tmp_path):
         doc = {"n": 1, "breakpoints": [0, 1], "values": [[0, 0], [1, 1]]}
         as_ints = cli(capsys, "validate", self._write(tmp_path, doc))
@@ -376,6 +389,17 @@ class TestSystemDocuments:
                                   if k != "alpha"}},
         "w-list": {"template": {**TEMPLATE, "w": []}},
     }
+    # JSON values of the wrong type that int() or bool() would take
+    LOOSE_TEMPLATE = {
+        "paper-qk1-string": {"paper_qk1": "false"},
+        "paper-qk1-int": {"paper_qk1": 0},
+        "n-float": {"n": 2.0},
+        "n-bool": {"n": True},
+        "blocks-float": {"blocks": 1.5},
+        "blocks-string": {"blocks": "2"},
+        "gap-bits-float": {"gap_bits": 64.0},
+        "gap-bits-bool": {"gap_bits": True},
+    }
 
     @pytest.mark.parametrize("meta", list(BAD_META), ids=list(BAD_META))
     @pytest.mark.parametrize("argv", [["diagnose", "--input"],
@@ -387,6 +411,22 @@ class TestSystemDocuments:
         code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
         assert code == 3 and not out
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field", list(LOOSE_TEMPLATE),
+                             ids=list(LOOSE_TEMPLATE))
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--input"],
+                                      ["plot", "--input"],
+                                      ["plot", "--block", "1", "--input"]],
+                             ids=["validate", "diagnose", "plot", "plot-block"])
+    def test_loose_template_types_exit_3(self, capsys, tmp_path, argv, field):
+        template = {**self.TEMPLATE, **self.LOOSE_TEMPLATE[field]}
+        doc = {**self.BUILT, "meta": {**self.BUILT["meta"],
+                                      "template": template}}
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err.startswith("error: malformed template meta: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_repeated_breakpoint_is_a_continuity_violation(self, capsys,
                                                            tmp_path):

@@ -115,6 +115,28 @@ class TestPiecewiseLinearMap:
             PiecewiseLinearMap((F(0), F(1)),
                                ((F(0), F(0)), (F(1), F(1), F(1))))
 
+    def test_stores_exact_fractions(self):
+        class Sub(F):
+            pass
+        kept = F(2)
+        m = PiecewiseLinearMap(
+            (0, "1/2", Sub(3, 2), kept),
+            ((Sub(1, 3), 1), ("-2/3", kept), (F(5), Sub(7)), (2, "0")))
+        stored = (*m.breakpoints, *(v for row in m.values for v in row))
+        assert all(type(v) is F for v in stored)
+        assert m.breakpoints == (0, F(1, 2), F(3, 2), 2)
+        assert m.values == ((F(1, 3), 1), (F(-2, 3), 2), (5, 7), (2, 0))
+        assert m.breakpoints[-1] is kept and m.values[1][1] is kept
+
+    @pytest.mark.parametrize("n", [1.9, 1.0, True, "1", None],
+                             ids=["float", "integral-float", "bool", "string",
+                                  "null"])
+    def test_document_n_must_be_a_json_integer(self, n):
+        doc = {"n": n, "breakpoints": ["0", "1"],
+               "values": [["0", "0"], ["1", "1"]]}
+        with pytest.raises(StructureError, match="malformed map document"):
+            PiecewiseLinearMap.from_json_dict(doc)
+
     def test_json_round_trip_exact(self):
         m = PiecewiseLinearMap(
             (F(-1, 3), F(7, 5), F(2)),

@@ -1,10 +1,15 @@
+import hashlib
 import re
 import xml.dom.minidom
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgn import PgnError, PiecewiseLinearMap, PlotSpec, render_svg, sup_distance
+from pgn.cli import run
+from pgn.svg import _axis
 from pgn.template import TemplateParams, build_block
 
 
@@ -77,3 +82,106 @@ class TestBlockGeometry:
             assert sup_distance(a, b, (bp.q_k, bp.r_k)) == 0
             assert sup_distance(a, b, (t_widest, bp.q_k1)) == 0
             assert sup_distance(a, b, (bp.r_k, t_widest)) > 0
+
+
+_N2 = ("--n", "2", "--w", "3", "--alpha", "1", "--beta", "1/2", "--q1", "100",
+       "--blocks", "3")
+# build and plot arguments of each pinned command-line plot
+CLI_PLOTS = {
+    "system-n4-guides": (("--n", "4", "--w", "5", "--alpha", "1", "--beta",
+                          "1/2", "--delta", "1/2", "--q1", "1000", "--blocks",
+                          "12"), ()),
+    "block-delta-0": ((*_N2, "--delta", "0"), ("--block", "2")),
+    "block-delta-1/2": ((*_N2, "--delta", "1/2"), ("--block", "2")),
+    "block-delta-1": ((*_N2, "--delta", "1"), ("--block", "2")),
+}
+
+
+def _pinned_svg(case, tmp_path):
+    """The SVG bytes of one pinned case."""
+    if case in CLI_PLOTS:
+        build, plot = CLI_PLOTS[case]
+        system, fig = tmp_path / "system.json", tmp_path / "fig.svg"
+        assert run(["build", *build, "--out", str(system)]) == 0
+        assert run(["plot", "--input", str(system), *plot,
+                    "--out", str(fig)]) == 0
+        return fig.read_bytes()
+    negative = PiecewiseLinearMap(
+        (F(-3), F(-1, 3), F(5, 2)),
+        ((F(-7, 2), F(-1), F(0)), (F(-1, 7), F(2, 3), F(-5)),
+         (F(4), F(-22, 9), F(1, 1000))))
+    size = {"negative-values": {},
+            "negative-values-tiny": {"width": 80, "height": 10}}[case]
+    spec = PlotSpec(subject=negative, guide_n=2, guide_w=F(7, 2),
+                    annotations=((F(-3), "a"), (F(-1, 3), "b")), **size)
+    return render_svg(spec).encode()
+
+
+# sha256 of each case's SVG, recorded with the earlier renderer, which
+# rounded each coordinate by Fraction arithmetic; the integer axis must
+# reproduce every byte.  The tiny size puts coordinates below zero.
+SVG_PINS = {
+    "system-n4-guides":
+        "f93d131546b9d24baafd44d9971209895813e916b7bf8057ac73dbe258031e7d",
+    "block-delta-0":
+        "7c8f70e830eeffeaeeaef17b7d6bb0eada9725bf54dec38f4b5a239c84ee297c",
+    "block-delta-1/2":
+        "8f023b8e85654e7c6b3585af6d5d2c0d781c67b9c3011991e85e26b282c19c4f",
+    "block-delta-1":
+        "5040b4c4802a1ab80a30f6aa99e01a73c7bd72a2ae2a0314e116b35c86bff210",
+    "negative-values":
+        "572cfb71f5acecf407453d1f0efa9945fe497ad2fb969be375742f0fd59cd202",
+    "negative-values-tiny":
+        "17c3293e4d9b7185858dd12397d21d8edd577bf9a881323cce847f46752ee07a",
+}
+
+
+@pytest.mark.parametrize("case", list(SVG_PINS))
+def test_svg_bytes_are_pinned(case, tmp_path):
+    assert hashlib.sha256(_pinned_svg(case, tmp_path)).hexdigest() \
+        == SVG_PINS[case]
+
+
+def _reference_coordinate(base, lo, hi, span, v):
+    """base + (v - lo)*span/(hi - lo), rounded half to even at 3 places by
+    Fraction's own rounding."""
+    milli = round((base + (v - lo) * span / (hi - lo)) * 1000)
+    whole, frac = divmod(abs(milli), 1000)
+    return f"{'-' if milli < 0 else ''}{whole}.{frac:03d}"
+
+
+# Rationals up to about 330-bit numerators over 310-bit denominators,
+# mixed with small ones so that ties and short values are drawn too.
+_RATIONALS = st.builds(
+    F, st.integers(-2**330, 2**330) | st.integers(-60, 60),
+    st.integers(1, 2**310) | st.integers(1, 12))
+_NONZERO = _RATIONALS.filter(bool)
+_BASES = st.integers(-1000, 1000)
+_SPANS = st.integers(-2000, 2000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BASES, _RATIONALS, _NONZERO, _SPANS, _RATIONALS)
+def test_axis_matches_fraction_reference(base, lo, width, span, v):
+    hi = lo + width
+    assert _axis(base, lo, hi, span)(v) \
+        == _reference_coordinate(base, lo, hi, span, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BASES, _RATIONALS, _NONZERO, _SPANS.filter(bool),
+       st.integers(-10**7, 10**7))
+def test_axis_rounds_half_milli_ties_to_even(base, lo, width, span, k):
+    hi = lo + width
+    # v lands exactly on the milli-unit k + 1/2
+    v = lo + (F(2 * k + 1, 2000) - base) * width / span
+    assert (base + (v - lo) * span / (hi - lo)) * 1000 == k + F(1, 2)
+    got = _axis(base, lo, hi, span)(v)
+    assert got == _reference_coordinate(base, lo, hi, span, v)
+    assert int(got.replace(".", "")) == k + k % 2
+
+
+def test_axis_signs_and_zero():
+    axis = _axis(0, F(0), F(1), 1)
+    assert [axis(F(v, 10000)) for v in (-5, -15, 5, 15, -12345, 0)] \
+        == ["0.000", "-0.002", "0.000", "0.002", "-1.234", "0.000"]
