@@ -198,6 +198,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.is_system else EXIT_INVALID
 
 
+def _parse_bound(text: str) -> int:
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise UsageError(f"--bound must be auto or a positive integer, "
+                         f"not {text!r}")
+    return bound
+
+
 def _cmd_minima(args) -> int:
     gap = GapFunction(_gap_bits_default())
     x = tuple(parse_rational(part) for part in args.x.split(","))
@@ -207,7 +218,7 @@ def _cmd_minima(args) -> int:
                          "coordinates in --x")
     body = GaugeBody(mode, x)
     grid = _parse_grid(args.grid)
-    bound = "auto" if args.bound == "auto" else int(args.bound)
+    bound = "auto" if args.bound == "auto" else _parse_bound(args.bound)
     profile = minima_profile(body, grid, bound=bound, gap=gap)
     text = profile_to_csv(profile)
     _write_output(args.out, text)

@@ -19,10 +19,11 @@ enumeration strategies with bit-identical results:
 
 * plain box enumeration up to a caller bound B, with a completeness
   certificate that rejects bounds too small to be conclusive;
-* self-certifying window enumeration of exactly {v != 0 : gauge(v) <= T}
-  for growing thresholds T, stopping once the rank inside the window is
-  full.  Each pivot runs over the integers its row allows given the
-  earlier pivots, a provably lossless pruning of box enumeration.
+* self-certifying window enumeration of exactly {v != 0 : gauge(v) <= T},
+  complete once the window has full rank.  Each pivot runs over the
+  integers its row allows given the earlier pivots, a provably lossless
+  pruning of box enumeration.  T doubles from 1, or along a profile is
+  set once from the previous point's witnesses.
 
 Before scanning, the widths of all coordinate ranges are multiplied, the
 form coordinate's too (about 2T/E wide at negative q), and a product past
@@ -193,6 +194,23 @@ class _RankTracker:
         return False
 
 
+def _scan_points(ib: IntegerBody, radii, bound: int = 0) -> int:
+    """Points the scan can visit, decided before any is scanned: the
+    product of every level's range width, the top one halved since one
+    vector of each +- pair is scanned."""
+    widths = [2 * bound + 1 if r is None else 2 * r // coeffs[pivot] + 1
+              for r, (pivot, coeffs) in zip(radii, ib.rows)]
+    return (widths[0] + 1) // 2 * math.prod(widths[1:])
+
+
+def _check_size(ib: IntegerBody, radii, bound: int = 0):
+    """Refuse a scan past the desk-scale limit."""
+    points = _scan_points(ib, radii, bound)
+    if points > _MAX_WINDOW_POINTS:
+        raise PgnError(f"desk-scale limit: certifying minima at this point "
+                       f"needs a scan of {points} points")
+
+
 def _scan(ib: IntegerBody, radii, bound: int = 0):
     """(g, vector) for one vector of each +- pair in the scan, flipped into
     canonical order (first nonzero coordinate positive); the gauge is
@@ -201,17 +219,10 @@ def _scan(ib: IntegerBody, radii, bound: int = 0):
     Pivots are set in row order, each over the integers where its row stays
     within its radius given the earlier pivots, or over [-bound, bound] if
     the radius is None; while all earlier pivots are 0, only over v >= 0."""
-    leads = [coeffs[pivot] for pivot, coeffs in ib.rows]
-    widths = [2 * bound + 1 if r is None else 2 * r // a + 1
-              for r, a in zip(radii, leads)]
-    points = (widths[0] + 1) // 2 * math.prod(widths[1:])
-    if points > _MAX_WINDOW_POINTS:
-        raise PgnError(f"desk-scale limit: certifying minima at this point "
-                       f"needs a scan of {points} points")
-    levels = [(pivot, lead, [(j, a) for j, a in enumerate(coeffs)
-                             if a and j != pivot], w, r)
-              for (pivot, coeffs), lead, w, r in
-              zip(ib.rows, leads, ib.weights, radii)]
+    _check_size(ib, radii, bound)
+    levels = [(pivot, coeffs[pivot], [(j, a) for j, a in enumerate(coeffs)
+                                      if a and j != pivot], w, r)
+              for (pivot, coeffs), w, r in zip(ib.rows, ib.weights, radii)]
     out: list = []
     _scan_level(levels, bound, 0, [0] * len(levels), 0, True, out)
     return out
@@ -224,20 +235,34 @@ def _scan_level(levels, bound, k, vec, best, free, out):
         lo, hi = -bound, bound
     else:
         lo, hi = -((radius + s) // lead), (radius - s) // lead
-    if k + 1 < len(levels):
+    if k + 2 < len(levels):
         for v in range(0 if free else lo, hi + 1):
             vec[pivot] = v
             g = abs(lead * v + s) * weight
             _scan_level(levels, bound, k + 1, vec,
                         g if g > best else best, free and not v, out)
         return
-    for v in range(1 if free else lo, hi + 1):
+    # the level above the leaf runs the leaf's range itself, with no call
+    # per v: the leaf's row sum is base + step * v
+    leaf, leaf_lead, leaf_reads, leaf_weight, leaf_radius = levels[k + 1]
+    step = sum(a for j, a in leaf_reads if j == pivot)
+    base = sum(a * vec[j] for j, a in leaf_reads if j != pivot)
+    u_lo, u_hi = -bound, bound
+    for v in range(0 if free else lo, hi + 1):
         vec[pivot] = v
         g = abs(lead * v + s) * weight
-        t = tuple(vec)
-        if next(filter(None, t)) < 0:
-            t = tuple(-c for c in t)
-        out.append((g if g > best else best, t))
+        top = g if g > best else best
+        leaf_s = base + step * v
+        if leaf_radius is not None:
+            u_lo = -((leaf_radius + leaf_s) // leaf_lead)
+            u_hi = (leaf_radius - leaf_s) // leaf_lead
+        for u in range(1 if free and not v else u_lo, u_hi + 1):
+            vec[leaf] = u
+            g = abs(leaf_lead * u + leaf_s) * leaf_weight
+            t = tuple(vec)
+            if next(filter(None, t)) < 0:
+                t = tuple(-c for c in t)
+            out.append((g if g > top else top, t))
 
 
 def _enumerate_box(ib: IntegerBody, bound: int):
@@ -315,34 +340,69 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
                         certified)
 
 
-def successive_minima_certified(body: GaugeBody, q, *,
-                                gap: GapFunction | None = None,
-                                scale: Fraction | None = None) -> MinimaResult:
-    """Certified minima by window enumeration with a growing threshold.
+def _cold(ib: IntegerBody, dim: int, replay=None):
+    """Cold doubling: scan thresholds 1, 2, 4, ... until the window has
+    full rank; the (minima, witnesses) of the last pass.
 
-    Each pass enumerates exactly {v != 0 : gauge(v) <= T}; once that set
-    has full rank, every vector relevant to any lambda_d has been seen and
-    the greedy selection is complete, bit-identical to what a sufficiently
-    large box enumeration would return.
-    """
-    gap = gap or GapFunction()
-    scale = gap.exp(q) if scale is None else Fraction(scale)
-    ib = IntegerBody(body, scale)
+    The picks at T are the prefix of the final picks with lambda <= T, and
+    they alone decide the next T.  So ``replay`` = (minima, witnesses,
+    fits), the final picks and a threshold known to fit, replays the
+    schedule without scanning; each T past ``fits`` (the scan only grows
+    with T) goes through the size check, which raises what it would."""
     threshold = Fraction(1)
     for _ in range(_MAX_DOUBLINGS):
-        minima, witnesses = _greedy_minima(_enumerate_within(ib, threshold),
-                                           body.dim, ib.den)
-        if len(minima) == body.dim:
-            return MinimaResult(tuple(minima), tuple(witnesses), scale,
-                                math.ceil(ib.reach(minima[-1])), True)
+        if replay is None:
+            minima, witnesses = _greedy_minima(
+                _enumerate_within(ib, threshold), dim, ib.den)
+        else:
+            final, chosen, fits = replay
+            if threshold > fits:
+                _check_size(ib, ib.radii(threshold))
+            minima = [lam for lam in final if lam <= threshold]
+            witnesses = chosen[:len(minima)]
+        if len(minima) == dim:
+            return minima, witnesses
         threshold *= 2
-        if (len(minima) == body.dim - 1
+        if (len(minima) == dim - 1
                 and all(ib.is_kernel(v) for v in witnesses)
                 and ib.jump > threshold):
             # the witnesses span the whole form-kernel sublattice, so the
             # missing direction costs at least the jump value; go there
             threshold = ib.jump
     raise PgnError("window enumeration failed to reach full rank")
+
+
+def successive_minima_certified(
+        body: GaugeBody, q, *, gap: GapFunction | None = None,
+        scale: Fraction | None = None,
+        start: tuple[tuple[int, ...], ...] | None = None) -> MinimaResult:
+    """Certified minima by window enumeration.
+
+    A pass enumerates exactly {v != 0 : gauge(v) <= T}; once that set has
+    full rank, every vector relevant to any lambda_d has been seen and the
+    greedy selection is complete, bit-identical to what a sufficiently
+    large box enumeration would return.
+
+    T doubles from 1 until the window has full rank.  ``start``, dim
+    independent vectors such as the previous grid point's witnesses,
+    bounds lambda_dim by its largest gauge, so one pass there is complete;
+    the doubling schedule is then replayed through the size check, so the
+    result, refusals included, is the one doubling gives.  A warm pass past
+    the desk-scale limit falls back to doubling.
+    """
+    gap = gap or GapFunction()
+    scale = gap.exp(q) if scale is None else Fraction(scale)
+    ib = IntegerBody(body, scale)
+    picks = None
+    if start:
+        threshold = max(ib.gauge(w) for w in start)
+        if _scan_points(ib, ib.radii(threshold)) <= _MAX_WINDOW_POINTS:
+            picks = _greedy_minima(_enumerate_within(ib, threshold),
+                                   body.dim, ib.den)
+            _cold(ib, body.dim, (*picks, threshold))
+    minima, witnesses = picks or _cold(ib, body.dim)
+    return MinimaResult(tuple(minima), tuple(witnesses), scale,
+                        math.ceil(ib.reach(minima[-1])), True)
 
 
 @dataclass(frozen=True)
@@ -381,16 +441,20 @@ def minima_profile(body: GaugeBody, grid, *, bound="auto",
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PgnError("grid must be strictly increasing")
     points = []
+    start = None  # the last certified point's witnesses
     for q in grid:
         try:
             if bound == "auto":
-                res = successive_minima_certified(body, q, gap=gap)
+                res = successive_minima_certified(body, q, gap=gap,
+                                                  start=start)
+                start = res.witnesses
             else:
                 res = successive_minima(body, q, int(bound), gap=gap)
             points.append((res.scale, res.minima,
                            tuple(gap.log(v) for v in res.minima),
                            res.witnesses, None))
         except PgnError as exc:
+            start = None
             points.append((gap.exp(q), None, None, None, str(exc)))
     columns = tuple(zip(*points)) or ((),) * 5
     return MinimaProfile(body, gap.bits, str(bound), grid, *columns)

@@ -295,6 +295,14 @@ class TestExitCodes:
         assert err.startswith("error: profile ") and message in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("bound", ["abc", "1e3", "0", "-3"])
+    def test_bad_bound_is_a_usage_error(self, capsys, bound):
+        code, out, err = cli(capsys, "minima", "--x", "1/3", "--grid",
+                             "0:1:1", f"--bound={bound}")
+        assert code == 1 and not out
+        assert err.startswith("usage error: --bound ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_grid(self, capsys):
         code, _, err = cli(capsys, "minima", "--x", "0", "--grid", "0:4")
         assert code == 1

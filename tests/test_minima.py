@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pgn import (BoundTooSmallError, GapFunction, GaugeBody, LINEAR_FORM,
                  PgnError, SIMULTANEOUS, gauge, gauge_at_scale,
-                 is_form_kernel, minima_profile, minkowski_check,
+                 is_form_kernel, minima, minima_profile, minkowski_check,
                  profile_from_csv, profile_to_csv, successive_minima,
                  successive_minima_certified)
 
@@ -195,6 +195,92 @@ class TestProfiles:
     def test_grid_must_increase(self):
         with pytest.raises(PgnError):
             minima_profile(GaugeBody(LINEAR_FORM, (F(0),)), [F(1), F(1)])
+
+
+def _cold_point(body, q):
+    """One grid point alone: cold doubling, or its refusal text."""
+    try:
+        res = successive_minima_certified(body, q)
+    except PgnError as exc:
+        return None, None, str(exc)
+    return res.minima, res.witnesses, None
+
+
+class TestWarmStart:
+    """A profile starts each point from the previous point's witnesses;
+    its rows must be those of every point computed alone from cold."""
+
+    @pytest.mark.parametrize("limit", [30, 100, 300, 1000, 3000, 10_000])
+    def test_profile_rows_match_cold_points(self, monkeypatch, limit):
+        monkeypatch.setattr(minima, "_MAX_WINDOW_POINTS", limit)
+        rng = random.Random(limit)
+        refused = certified = 0
+        for _ in range(12):
+            mode = rng.choice([LINEAR_FORM, SIMULTANEOUS])
+            x = tuple(F(rng.randint(-60, 60), rng.randint(1, 60))
+                      for _ in range(rng.choice([1, 1, 2])))
+            body = GaugeBody(mode, x)
+            start, step = F(rng.randint(-6, 4), 2), F(1, rng.choice([1, 2, 4]))
+            grid = [start + k * step for k in range(rng.randint(4, 12))]
+            prof = minima_profile(body, grid)
+            rows = list(zip(prof.minima, prof.witnesses, prof.errors))
+            assert rows == [_cold_point(body, q) for q in grid]
+            refused += sum(e is not None for e in prof.errors)
+            certified += sum(e is None for e in prof.errors)
+        assert refused and certified
+
+    def test_refusal_after_certified_points_is_replayed(self, monkeypatch):
+        # the warm window at q=5/2 fits 1000 points, but cold doubling
+        # overshoots to a threshold whose scan does not
+        monkeypatch.setattr(minima, "_MAX_WINDOW_POINTS", 1000)
+        body = GaugeBody(LINEAR_FORM, (F(483, 500), F(-1, 1000)))
+        grid = [F(3, 2) + k * F(1, 4) for k in range(8)]
+        prof = minima_profile(body, grid)
+        assert [e is None for e in prof.errors] == [True] * 4 + [False] * 4
+        assert prof.errors[4] == ("desk-scale limit: certifying minima at "
+                                  "this point needs a scan of 1683 points")
+        assert (list(zip(prof.minima, prof.witnesses, prof.errors))
+                == [_cold_point(body, q) for q in grid])
+
+    @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+    def test_one_window_pass_per_point_after_the_first(self, monkeypatch,
+                                                       mode):
+        calls = []
+        scan = minima._enumerate_within
+
+        def counted(ib, threshold):
+            calls.append(threshold)
+            return scan(ib, threshold)
+
+        monkeypatch.setattr(minima, "_enumerate_within", counted)
+        body = GaugeBody(mode, (F(5, 17), F(-4, 11)))
+        grid = [F(k, 4) for k in range(-2, 11)]
+        successive_minima_certified(body, grid[0])
+        first = len(calls)
+        calls.clear()
+        prof = minima_profile(body, grid)
+        assert all(e is None for e in prof.errors)
+        assert len(calls) == first + len(grid) - 1
+
+
+@pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+@pytest.mark.parametrize("x, scale, threshold", [
+    ((F(2, 7),), F(3, 2), F(5, 2)),
+    ((F(1, 3), F(-3, 5)), F(5, 4), F(2)),
+    ((F(1, 2), F(2, 3), F(-1, 4)), F(1), F(3, 2))],
+    ids=["dim2", "dim3", "dim4"])
+def test_window_is_the_box_filtered_to_the_threshold(mode, x, scale,
+                                                     threshold):
+    ib = minima.IntegerBody(GaugeBody(mode, x), scale)
+    bound = math.ceil(ib.reach(threshold))
+    window = minima._enumerate_within(ib, threshold)
+    box = minima._enumerate_box(ib, bound)
+    # the box holds one vector of each +- pair, each with its exact gauge
+    assert len(box) == ((2 * bound + 1) ** len(ib.rows) - 1) // 2
+    assert all(F(g, ib.den) == ib.gauge(vec) for g, vec in box)
+    limit = threshold * ib.den
+    assert len(window) > len(x)
+    assert sorted(window) == sorted(c for c in box if c[0] <= limit)
 
 
 class TestMinkowski:
