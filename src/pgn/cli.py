@@ -271,6 +271,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    for name, size in (("--width", args.width), ("--height", args.height)):
+        if size < 1:
+            raise UsageError(f"{name} must be a positive integer, not {size}")
     breakpoints, values, params, starts = _load_system(_read_input(args.input))
     if args.block is not None:
         if params is None:

@@ -11,6 +11,7 @@ exact, so validity checks carry no tolerances.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,14 +32,25 @@ class StructureError(PgnError, ValueError):
     """Malformed raw map data (unsorted breakpoints, ragged rows, ...)."""
 
 
+# exactly the form format_rational writes, ASCII digits only
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse "a/b", integer or decimal literals, or an int (a JSON integer),
-    exactly into a Fraction; anything else, bool included, is refused."""
+    exactly into a Fraction; anything else, bool included, is refused.
+
+    A string is accepted exactly when Fraction(text.strip()) accepts it;
+    the canonical form is split with int, the rest goes to Fraction."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise PgnError(f"not a rational literal: {text!r}")
     try:
+        canonical = _CANONICAL.fullmatch(text)
+        if canonical:
+            num, den = canonical.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise PgnError(f"not a rational literal: {text!r}") from exc
@@ -52,7 +64,8 @@ def exact_type(value, kind: type):
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

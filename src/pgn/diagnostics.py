@@ -10,6 +10,7 @@ never asymptotics.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,13 +97,14 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
 
     The functionals are piecewise linear (the ratio monotone per segment),
     so extrema over [tail_start, end] are attained at breakpoints or at
-    tail_start itself; only those points are evaluated.
+    tail_start itself; only tail_start is interpolated, the breakpoints
+    after it are read off their rows.
     """
     w = Fraction(w)
     gap = gap or GapFunction()
     lo, hi = subject.domain
+    bps, rows = subject.breakpoints, subject.values
     if tail_start is None:
-        bps = subject.breakpoints
         tail_start = bps[2] if len(bps) >= 3 else bps[0]
     tail_start = Fraction(tail_start)
     if tail_start < lo or tail_start > hi:
@@ -111,13 +113,14 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
     if tail_start == hi:
         raise PgnError("empty tail: tail start equals the domain end")
 
-    points = [tail_start] + [b for b in subject.breakpoints if b > tail_start]
+    after = bisect_right(bps, tail_start)
+    points = [(tail_start, subject.evaluate(tail_start)[0])]
+    points += ((q, row[0]) for q, row in zip(bps[after:], rows[after:]))
     di: list[tuple[Fraction, Fraction]] = []
     dw: list[tuple[Fraction, Fraction]] = []
     ratio: list[tuple[Fraction, Fraction]] = []
     notes = [RANGE_NOTE]
-    for q in points:
-        p1 = subject.evaluate(q)[0]
+    for q, p1 in points:
         di.append((q, q / (n + 1) - p1))
         dw.append((q, q / (w + 1) - p1))
         if q > 0:

@@ -46,6 +46,20 @@ def _axis(base: int, lo: Fraction, hi: Fraction, span: int):
     return coordinate
 
 
+def _extremes(vals: list[Fraction]) -> tuple[Fraction, Fraction]:
+    """min(vals) and max(vals) by integer cross-multiplication, as in
+    _axis: a/b < c/d exactly when a*d < c*b, denominators being positive."""
+    lo = hi = vals[0]
+    lo_n, lo_d = hi_n, hi_d = lo.numerator, lo.denominator
+    for v in vals:
+        n, d = v.numerator, v.denominator
+        if n * lo_d < lo_n * d:
+            lo, lo_n, lo_d = v, n, d
+        elif n * hi_d > hi_n * d:
+            hi, hi_n, hi_d = v, n, d
+    return lo, hi
+
+
 _MARGIN, _LABEL_BAND = 50, 34
 
 
@@ -57,7 +71,7 @@ class _Frame:
         vals = [v for m in maps for row in m.values for v in row]
         vals += [q / (Fraction(guide) + 1) for q in (self.q_lo, self.q_hi)
                  for guide in (spec.guide_n, spec.guide_w) if guide is not None]
-        lo, hi = min(vals), max(vals)
+        lo, hi = _extremes(vals)
         if lo == hi:
             lo, hi = lo - 1, hi + 1
         pad = (hi - lo) / 12

@@ -6,14 +6,20 @@ single contiguous group of coinciding components moves with slope
 1/(group size) while the rest stay constant, and (iii) at every kink the
 components spanning the left-moving and right-moving groups take equal
 values.  Every comparison is exact; violations are reported, not thrown.
+The sum and slope axioms are decided by integer cross-multiplication: a
+row's sum over one common denominator, a slope 1/size as
+(right - left) * size == dq.  Slopes and sums as Fractions are built only
+for the detail text of a violation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PiecewiseLinearMap, StructureError, format_rational
+from .core import (PiecewiseLinearMap, StructureError, _as_fraction_tuple,
+                   format_rational)
 
 AXIOM_ORDER = "i-order"
 AXIOM_SUM = "i-sum"
@@ -48,22 +54,27 @@ class AxiomReport:
 
 def _segment_pattern(m: PiecewiseLinearMap, i: int) -> tuple[int, int] | None:
     """(r1, r2), 1-based, when segment i is a well-formed moving block."""
-    slopes = m.segment_slopes(i)
-    moving = [d for d, s in enumerate(slopes) if s != 0]
+    left, right = m.values[i], m.values[i + 1]
+    moving = [d for d, (a, b) in enumerate(zip(left, right)) if a != b]
     if not moving:
         return None
     r1, r2 = moving[0], moving[-1]
-    if len(moving) != r2 - r1 + 1:
-        return None
     size = r2 - r1 + 1
-    want = Fraction(1, size)
-    if any(slopes[d] != want for d in moving):
+    if len(moving) != size:
         return None
-    left = m.values[i]
-    right = m.values[i + 1]
     if any(left[d] != left[r1] or right[d] != right[r1] for d in moving):
         return None
+    dq = m.breakpoints[i + 1] - m.breakpoints[i]
+    if (right[r1] - left[r1]) * size != dq:
+        return None
     return (r1 + 1, r2 + 1)
+
+
+def _sums_to(row: tuple[Fraction, ...], q: Fraction) -> bool:
+    """sum(row) == q, over the common denominator of the row."""
+    den = math.lcm(*(v.denominator for v in row))
+    total = sum(v.numerator * (den // v.denominator) for v in row)
+    return total * q.denominator == q.numerator * den
 
 
 def validate(m: PiecewiseLinearMap) -> AxiomReport:
@@ -84,11 +95,11 @@ def validate(m: PiecewiseLinearMap) -> AxiomReport:
                     f"P_{d + 1} > P_{d + 2} at q={format_rational(q)} "
                     f"({format_rational(row[d])} > {format_rational(row[d + 1])})"))
                 break
-        total = sum(row)
-        if total != q:
+        if not _sums_to(row, q):
             violations.append(AxiomViolation(
                 AXIOM_SUM, q,
-                f"component sum {format_rational(total)} != q = {format_rational(q)}"))
+                f"component sum {format_rational(sum(row))} "
+                f"!= q = {format_rational(q)}"))
 
     patterns: list[tuple[int, int] | None] = []
     for i in range(len(bps) - 1):
@@ -136,8 +147,8 @@ def validate_raw(breakpoints, values) -> AxiomReport:
     yield a continuity violation; genuinely unsorted breakpoints are a
     structural error.
     """
-    bps = [Fraction(b) for b in breakpoints]
-    rows = [tuple(Fraction(v) for v in row) for row in values]
+    bps = _as_fraction_tuple(breakpoints)
+    rows = [_as_fraction_tuple(row) for row in values]
     if len(bps) != len(rows):
         raise StructureError("breakpoint/value row count mismatch")
     if any(b2 < b1 for b1, b2 in zip(bps, bps[1:])):

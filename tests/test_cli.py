@@ -319,6 +319,20 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("option, size", [
+        ("--width", "-7"), ("--width", "0"), ("--height", "-1"),
+        ("--height", "0")])
+    def test_plot_size_below_one_is_a_usage_error(self, capsys, tmp_path,
+                                                  option, size):
+        system, fig = tmp_path / "system.json", tmp_path / "fig.svg"
+        cli(capsys, *BUILD, "--out", str(system))
+        code, out, err = cli(capsys, "plot", "--input", str(system),
+                             option, size, "--out", str(fig))
+        assert code == 1 and not out and not fig.exists()
+        assert err.startswith(f"usage error: {option} must be a positive ")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSystemDocuments:
     """validate, diagnose and plot read system JSON through one loader."""
 

@@ -2,7 +2,7 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
@@ -33,6 +33,71 @@ class TestRationals:
     def test_format_round_trip(self):
         for x in (F(0), F(-3), F(22, 7), F(1, 2 ** 64)):
             assert parse_rational(format_rational(x)) == x
+
+
+_LEADING_ZEROS = st.text("0", max_size=3)
+_DIGITS = st.integers(min_value=0, max_value=10 ** 120).map(str)
+
+
+@st.composite
+def _canonical_literals(draw):
+    """The form format_rational writes, with leading zeros, -0 and /0."""
+    text = draw(st.sampled_from(["", "-"])) + draw(_LEADING_ZEROS)
+    text += draw(_DIGITS)
+    if draw(st.booleans()):
+        text += "/" + draw(_LEADING_ZEROS) + draw(_DIGITS)
+    return text
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# forms outside the canonical one, which must reach Fraction(str); the
+# exponents stay small, since Fraction expands 10**exp in full
+_FALLBACK_FORMS = [
+    lambda s: f" {s}\t\n", lambda s: "+" + s, lambda s: s[:1] + "_" + s[1:],
+    lambda s: s + ".25", lambda s: "." + s, lambda s: s + "e3",
+    lambda s: s + "E-2", lambda s: s.replace("/", "/-"),
+    lambda s: s.replace("/", " / "), lambda s: s.translate(_ARABIC_INDIC),
+    lambda s: s + "\n", lambda s: s + "/",
+]
+
+
+def _same_as_fraction(text):
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(PgnError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert type(got) is F and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_literals())
+@example("-0")
+@example("007/010")
+@example("1/0")
+@example("-0/0")
+@example("1" * 5000)
+@example("1/" + "1" * 5000)
+def test_canonical_literals_parse_like_fraction(text):
+    _same_as_fraction(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_literals(), st.sampled_from(_FALLBACK_FORMS))
+@example("5/3", lambda s: s.replace("/", "/-"))
+@example("12", lambda s: s.translate(_ARABIC_INDIC))
+@example("1_000", lambda s: s)
+@example("1" * 5000, lambda s: f" {s} ")
+def test_other_literals_fall_back_to_fraction(text, form):
+    _same_as_fraction(form(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789-+/._ \t\n١٢", max_size=12))
+def test_any_literal_parses_like_fraction(text):
+    _same_as_fraction(text)
 
 
 class TestGapFunction:

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgn import (GapFunction, GaugeBody, LINEAR_FORM, PgnError,
                  PiecewiseLinearMap, analyze, analyze_profile,
                  compare_system_profile, minima_profile,
                  profile_interpolant, profile_kernel_locked)
+from pgn.diagnostics import _last_local_min
 from pgn.minima import MinimaProfile
 from pgn.template import TemplateParams, block_functionals, build_system
 
@@ -83,6 +86,62 @@ class TestAnalyzeSystems:
         _, built = twenty_block_system()
         report = analyze(built.map, 2, F(3), gap=GAP)
         assert any("range-limited" in n for n in report.notes)
+
+
+def _extrema_by_evaluate(m, n, w, tail_start):
+    """The extrema analyze reports, restated over [tail_start] and the
+    later breakpoints with one evaluate per point."""
+    points = [tail_start] + [b for b in m.breakpoints if b > tail_start]
+    p1 = [m.evaluate(q)[0] for q in points]
+    di = [(q, q / (n + 1) - v) for q, v in zip(points, p1)]
+    dw = [(q, q / (w + 1) - v) for q, v in zip(points, p1)]
+    ratio = [(q, v / q) for q, v in zip(points, p1) if q > 0]
+    glob = min((v, q) for q, v in ratio) if ratio else (None, None)
+    last = _last_local_min(ratio) or (None, None)
+    return (min(di, key=lambda t: (t[1], t[0])),
+            max(di, key=lambda t: (t[1], -t[0])),
+            max(dw, key=lambda t: (t[1], -t[0])), glob, last)
+
+
+def _assert_walk_matches_evaluate(m, n, w, tail_start):
+    r = analyze(m, n, w, tail_start=tail_start, gap=GAP)
+    assert r.tested_range == (tail_start, m.domain[1])
+    assert ((r.di_margin_at, r.di_margin_min),
+            (r.di_margin_max_at, r.di_margin_max),
+            (r.dw_margin_at, r.dw_margin_max),
+            (r.ratio_min_global, r.ratio_min_global_at),
+            (r.ratio_min_at, r.ratio_min)) \
+        == _extrema_by_evaluate(m, n, w, tail_start)
+
+
+class TestTailWalk:
+    """analyze reads the breakpoints after tail_start off their rows; its
+    extrema equal those of a restatement that evaluates every point."""
+
+    def test_tail_start_on_between_and_at_the_domain_start(self):
+        _, built = twenty_block_system()
+        m = built.map
+        bps = m.breakpoints
+        for tail_start in (bps[7], (bps[7] + bps[8]) / 2, bps[0]):
+            _assert_walk_matches_evaluate(m, 2, F(3), tail_start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_maps(self, data):
+        gaps = data.draw(st.lists(st.fractions(F(1, 4), 3, max_denominator=4),
+                                  min_size=1, max_size=6))
+        q = data.draw(st.fractions(-2, 3, max_denominator=2))
+        bps = [q]
+        for gap in gaps:
+            bps.append(bps[-1] + gap)
+        values = st.fractions(-2, 5, max_denominator=3)
+        rows = [tuple(data.draw(st.lists(values, min_size=2, max_size=2)))
+                for _ in bps]
+        m = PiecewiseLinearMap(tuple(bps), tuple(rows))
+        i = data.draw(st.integers(0, len(bps) - 2))
+        tail_start = data.draw(st.sampled_from(
+            [bps[i], (bps[i] + bps[i + 1]) / 2, bps[0]]))
+        _assert_walk_matches_evaluate(m, 1, F(2), tail_start)
 
 
 class TestAnalyzeProfiles:

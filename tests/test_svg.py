@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pgn import PgnError, PiecewiseLinearMap, PlotSpec, render_svg, sup_distance
 from pgn.cli import run
-from pgn.svg import _axis
+from pgn.svg import _axis, _extremes, _Frame
 from pgn.template import TemplateParams, build_block
 
 
@@ -185,3 +185,50 @@ def test_axis_signs_and_zero():
     axis = _axis(0, F(0), F(1), 1)
     assert [axis(F(v, 10000)) for v in (-5, -15, 5, 15, -12345, 0)] \
         == ["0.000", "-0.002", "0.000", "0.002", "-1.234", "0.000"]
+
+
+# -- the value range of a frame -----------------------------------------------
+
+
+def _reference_range(spec):
+    """v_lo, v_hi of a frame with Fraction min and max."""
+    maps = (spec.subject, *spec.overlays)
+    q_lo = min(m.domain[0] for m in maps)
+    q_hi = max(m.domain[1] for m in maps)
+    vals = [v for m in maps for row in m.values for v in row]
+    vals += [q / (F(guide) + 1) for q in (q_lo, q_hi)
+             for guide in (spec.guide_n, spec.guide_w) if guide is not None]
+    lo, hi = min(vals), max(vals)
+    if lo == hi:
+        lo, hi = lo - 1, hi + 1
+    pad = (hi - lo) / 12
+    return lo - pad, hi + pad
+
+
+_TIED = st.sampled_from([F(-3), F(0), F(5, 2), F(-7, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RATIONALS | _TIED, min_size=1, max_size=12))
+def test_extremes_are_min_and_max(vals):
+    assert _extremes(vals) == (min(vals), max(vals))
+
+
+_OVERLAY = PiecewiseLinearMap((F(-1), F(1)),
+                              ((F(0), F(1, 3)), (F(1, 3), F(1, 3))))
+
+
+@pytest.mark.parametrize("rows, guides, overlays", [
+    (((F(-3), F(-1, 2)), (F(-7, 3), F(-3))), (None, None), ()),
+    (((F(1), F(2)), (F(2), F(2)), (F(-1), F(2))), (None, None), ()),
+    (((F(5, 2), F(5, 2)), (F(5, 2), F(5, 2))), (None, None), ()),
+    (((F(-4), F(-4)), (F(-4), F(-4))), (2, F(7, 2)), ()),
+    (((F(0), F(10 ** 40, 3 ** 50)), (F(-1, 2 ** 70), F(1))), (3, None),
+     (_OVERLAY,))],
+    ids=["negatives", "ties", "one-value", "one-value-guides", "overlay"])
+def test_frame_range_matches_fraction_min_max(rows, guides, overlays):
+    bps = tuple(F(k) for k in range(len(rows)))
+    spec = PlotSpec(subject=PiecewiseLinearMap(bps, rows), overlays=overlays,
+                    guide_n=guides[0], guide_w=guides[1])
+    frame = _Frame(spec)
+    assert (frame.v_lo, frame.v_hi) == _reference_range(spec)
