@@ -12,7 +12,7 @@ from .core import (DEFAULT_GAP_BITS, DomainError, GapFunction, PgnError,
 from .diagnostics import (ComparisonReport, DiagnosticsReport, analyze,
                           analyze_profile, compare_system_profile,
                           profile_interpolant, profile_kernel_locked)
-from .minima import (BoundTooSmallError, GaugeBody, LINEAR_FORM,
+from .minima import (BoundTooSmallError, GaugeBody, GridPoint, LINEAR_FORM,
                      MinimaProfile, MinimaResult, MinkowskiReport,
                      SIMULTANEOUS, gauge, gauge_at_scale, is_form_kernel,
                      minima_profile, minkowski_check, profile_from_csv,

@@ -108,9 +108,9 @@ def _block_labels(k: int, bp) -> list[tuple[Fraction, str]]:
     ]
 
 
-def _block_figure(params: TemplateParams, k: int, q_k) -> str:
+def _block_figure(params: TemplateParams, k: int, q_k, **size) -> str:
     """One block with its delta=0 and delta=1 siblings dotted, as in the
-    generic-block figure."""
+    generic-block figure; ``size`` may set the PlotSpec width and height."""
     block, bp = build_block(params, k, q_k)
     overlays = []
     for endpoint in (Fraction(0), Fraction(1)):
@@ -129,7 +129,7 @@ def _block_figure(params: TemplateParams, k: int, q_k) -> str:
         annotations=tuple(sorted(merged.items())),
         guide_n=params.n, guide_w=params.w,
         title=f"block {k}, delta={format_rational(params.delta)} "
-              f"(dotted: delta=0 and delta=1)")
+              f"(dotted: delta=0 and delta=1)", **size)
     return render_svg(spec)
 
 
@@ -280,8 +280,9 @@ def _cmd_plot(args) -> int:
             raise UsageError("--block needs template metadata in the file")
         if not (1 <= args.block < len(starts)):
             raise UsageError(f"--block out of range 1..{len(starts[1:])}")
-        _write_output(args.out, _block_figure(params, args.block,
-                                              starts[args.block - 1]))
+        _write_output(args.out, _block_figure(
+            params, args.block, starts[args.block - 1],
+            width=args.width, height=args.height))
         return EXIT_OK
     guides = args.guides and params is not None
     spec = PlotSpec(subject=PiecewiseLinearMap(breakpoints, values),

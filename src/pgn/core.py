@@ -34,14 +34,20 @@ class StructureError(PgnError, ValueError):
 
 # exactly the form format_rational writes, ASCII digits only
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a decimal exponent as Fraction reads one (\d is any Unicode digit), and
+# its largest magnitude: Fraction expands 10**exponent in full
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "a/b", integer or decimal literals, or an int (a JSON integer),
     exactly into a Fraction; anything else, bool included, is refused.
 
-    A string is accepted exactly when Fraction(text.strip()) accepts it;
-    the canonical form is split with int, the rest goes to Fraction."""
+    A string is accepted exactly when Fraction(text.strip()) accepts it
+    and any decimal exponent is at most _MAX_DECIMAL_EXPONENT in absolute
+    value; the canonical form is split with int, the rest goes to
+    Fraction once its exponent is checked."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
@@ -51,6 +57,10 @@ def parse_rational(text: str | int) -> Fraction:
         if canonical:
             num, den = canonical.groups()
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_DECIMAL_EXPONENT:
+            raise PgnError(f"decimal exponent of {text!r} is beyond "
+                           f"+-{_MAX_DECIMAL_EXPONENT}")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise PgnError(f"not a rational literal: {text!r}") from exc

@@ -187,21 +187,17 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
 
 def profile_interpolant(profile: MinimaProfile) -> PiecewiseLinearMap:
     """Linear interpolation of the log-minima columns between grid points."""
-    bps, rows = [], []
-    for i, q in profile.valid_points():
-        bps.append(q)
-        rows.append(profile.logs[i])
-    if len(bps) < 2:
+    valid = profile.valid
+    if len(valid) < 2:
         raise PgnError("profile has fewer than two valid grid points")
-    return PiecewiseLinearMap(tuple(bps), tuple(rows))
+    return PiecewiseLinearMap(tuple(p.q for p in valid),
+                              tuple(p.logs for p in valid))
 
 
 def profile_kernel_locked(profile: MinimaProfile) -> bool:
     """Whether any first-minimum witness annihilates the form exactly."""
-    for i, _ in profile.valid_points():
-        if is_form_kernel(profile.body, profile.witnesses[i][0]):
-            return True
-    return False
+    return any(is_form_kernel(profile.body, p.witnesses[0])
+               for p in profile.valid)
 
 
 def analyze_profile(profile: MinimaProfile, w, *, tail_start=None,
@@ -249,17 +245,19 @@ def compare_system_profile(system: PiecewiseLinearMap,
         raise PgnError(
             f"system has {system.n_components} components, profile has "
             f"{profile.dim}")
-    lo = max(system.domain[0], profile.grid[0])
-    hi = min(system.domain[1], profile.grid[-1])
+    if not profile.points:
+        raise PgnError("profile has no grid points")
+    lo = max(system.domain[0], profile.points[0].q)
+    hi = min(system.domain[1], profile.points[-1].q)
     if lo > hi:
         raise PgnError("system and profile ranges are disjoint")
     per_comp = [Fraction(0)] * profile.dim
     count = 0
-    for i, q in profile.valid_points():
-        if q < lo or q > hi:
+    for p in profile.valid:
+        if p.q < lo or p.q > hi:
             continue
-        sys_row = system.evaluate(q)
-        for d, (a, b) in enumerate(zip(profile.logs[i], sys_row)):
+        sys_row = system.evaluate(p.q)
+        for d, (a, b) in enumerate(zip(p.logs, sys_row)):
             diff = abs(a - b)
             if diff > per_comp[d]:
                 per_comp[d] = diff

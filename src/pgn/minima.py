@@ -126,11 +126,6 @@ class IntegerBody:
         return Fraction(min(w for w, p in zip(self.weights, self.powers)
                             if p > 0), self.den)
 
-    @property
-    def exponent(self) -> int:
-        """The body's volume is 2^dim / E^exponent, as det A = prod d_r."""
-        return sum(self.powers)
-
     def radii(self, threshold: Fraction) -> list[int]:
         """Per row, the largest |A_r . v| that gauge(v) <= threshold allows."""
         t = Fraction(threshold)
@@ -406,25 +401,30 @@ def successive_minima_certified(
 
 
 @dataclass(frozen=True)
+class GridPoint:
+    """One grid point of a profile: its minima, their logs and witnesses,
+    or, for a refused point, minima None and the refusal text."""
+    q: Fraction
+    minima: tuple[Fraction, ...] | None
+    logs: tuple[Fraction, ...] | None = None
+    witnesses: tuple[tuple[int, ...], ...] | None = None
+    error: str | None = None
+
+
+@dataclass(frozen=True)
 class MinimaProfile:
     body: GaugeBody
     gap_bits: int
     bound_mode: str
-    grid: tuple[Fraction, ...]
-    scales: tuple[Fraction, ...]
-    minima: tuple[tuple[Fraction, ...] | None, ...]
-    logs: tuple[tuple[Fraction, ...] | None, ...]
-    witnesses: tuple[tuple[tuple[int, ...], ...] | None, ...]
-    errors: tuple[str | None, ...]
+    points: tuple[GridPoint, ...]
 
     @property
     def dim(self) -> int:
         return self.body.dim
 
-    def valid_points(self):
-        for i, q in enumerate(self.grid):
-            if self.minima[i] is not None:
-                yield i, q
+    @property
+    def valid(self) -> tuple[GridPoint, ...]:
+        return tuple(p for p in self.points if p.minima is not None)
 
 
 def proxy_horizon(body: GaugeBody) -> int:
@@ -450,14 +450,13 @@ def minima_profile(body: GaugeBody, grid, *, bound="auto",
                 start = res.witnesses
             else:
                 res = successive_minima(body, q, int(bound), gap=gap)
-            points.append((res.scale, res.minima,
-                           tuple(gap.log(v) for v in res.minima),
-                           res.witnesses, None))
+            points.append(GridPoint(q, res.minima,
+                                    tuple(gap.log(v) for v in res.minima),
+                                    res.witnesses))
         except PgnError as exc:
             start = None
-            points.append((gap.exp(q), None, None, None, str(exc)))
-    columns = tuple(zip(*points)) or ((),) * 5
-    return MinimaProfile(body, gap.bits, str(bound), grid, *columns)
+            points.append(GridPoint(q, None, error=str(exc)))
+    return MinimaProfile(body, gap.bits, str(bound), tuple(points))
 
 
 @dataclass(frozen=True)
@@ -470,41 +469,36 @@ class MinkowskiReport:
 def minkowski_check(profile: MinimaProfile) -> MinkowskiReport:
     """Second-theorem sanity oracle on the product of the minima.
 
-    The body has volume 2^dim / E^s with s the row exponent (1 for the
-    linear-form body, 0 for the simultaneous one), so the theorem pins
-    E^s/dim! <= product(lambda_d) <= E^s exactly.  The exact product
+    The body has volume 2^dim / E^s, as det A = prod d_r, with s the sum
+    of the row powers p (1 for the linear-form body, 0 for the
+    simultaneous one), so the theorem pins E^s/dim! <= product(lambda_d)
+    <= E^s exactly.  The exact product
     inequality is decided over the rationals; log-scale margins are
     reported for inspection.
     """
     gap = GapFunction(profile.gap_bits)
-    d = profile.dim
-    fact = math.factorial(d)
+    exponent = sum(power for _, _, power, _ in _rows(profile.body))
+    fact = math.factorial(profile.dim)
     log_fact = gap.log(fact)
     points, violations = [], []
-    ok = True
-    for i, q in profile.valid_points():
-        prod = Fraction(1)
-        for lam in profile.minima[i]:
-            prod *= lam
-        scale = profile.scales[i]
-        exponent = IntegerBody(profile.body, scale).exponent
-        upper, log_hi = scale ** exponent, q * exponent
+    for p in profile.valid:
+        prod = math.prod(p.minima)
+        upper, log_hi = gap.exp(p.q) ** exponent, p.q * exponent
         lower, log_lo = upper / fact, log_hi - log_fact
         exact_ok = lower <= prod <= upper
-        sum_logs = sum(profile.logs[i])
         points.append({
-            "q": q,
-            "sum_logs": sum_logs,
+            "q": p.q,
+            "sum_logs": sum(p.logs),
             "log_lower": log_lo,
             "log_upper": log_hi,
             "exact_ok": exact_ok,
         })
         if not exact_ok:
-            ok = False
             violations.append(
-                f"q={format_rational(q)}: product {format_rational(prod)} "
+                f"q={format_rational(p.q)}: product {format_rational(prod)} "
                 f"outside [{format_rational(lower)}, {format_rational(upper)}]")
-    return MinkowskiReport(ok, tuple(points), tuple(violations))
+    return MinkowskiReport(not violations, tuple(points),
+                           tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +524,14 @@ def profile_to_csv(profile: MinimaProfile) -> str:
     out.write("\n".join(lines) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for i, q in enumerate(profile.grid):
-        row = [format_rational(q)]
-        if profile.minima[i] is None:
-            row += [""] * (3 * d) + [profile.errors[i] or "error"]
+    for p in profile.points:
+        row = [format_rational(p.q)]
+        if p.minima is None:
+            row += [""] * (3 * d) + [p.error or "error"]
         else:
-            row += [format_rational(v) for v in profile.minima[i]]
-            row += [format_rational(v) for v in profile.logs[i]]
-            row += [";".join(str(c) for c in w) for w in profile.witnesses[i]]
+            row += [format_rational(v) for v in p.minima]
+            row += [format_rational(v) for v in p.logs]
+            row += [";".join(str(c) for c in w) for w in p.witnesses]
             row += [""]
         writer.writerow(row)
     return out.getvalue()
@@ -573,7 +567,8 @@ def profile_from_csv(text: str) -> MinimaProfile:
     try:
         mode = meta["mode"]
         x = tuple(parse_rational(v) for v in meta["x"].split(","))
-        gap_bits = int(meta.get("gap_bits", DEFAULT_GAP_BITS))
+        gap_bits = GapFunction(int(meta.get("gap_bits",
+                                            DEFAULT_GAP_BITS))).bits
         bound_mode = meta.get("bound", "auto")
     except KeyError as exc:
         raise PgnError(f"profile file missing metadata {exc}") from exc
@@ -584,7 +579,6 @@ def profile_from_csv(text: str) -> MinimaProfile:
     header, data = rows[0], rows[1:]
     if header[0] != "q":
         raise PgnError("profile file missing the CSV header row")
-    gap = GapFunction(gap_bits)
     points = []
     for number, row in enumerate(data, 1):
         if len(row) != 3 * d + 2:
@@ -592,13 +586,11 @@ def profile_from_csv(text: str) -> MinimaProfile:
                            f"cells, expected {3 * d + 2}")
         q = parse_rational(row[0])
         if not row[1].strip():
-            err = row[1 + 3 * d].strip()
-            points.append((q, gap.exp(q), None, None, None, err or "error"))
+            points.append(GridPoint(q, None,
+                                    error=row[1 + 3 * d].strip() or "error"))
             continue
-        points.append((q, gap.exp(q),
-                       tuple(parse_rational(v) for v in row[1:1 + d]),
-                       tuple(parse_rational(v) for v in row[1 + d:1 + 2 * d]),
-                       tuple(_witness(cell, d)
-                             for cell in row[1 + 2 * d:1 + 3 * d]), None))
-    columns = tuple(zip(*points)) or ((),) * 6
-    return MinimaProfile(body, gap_bits, bound_mode, *columns)
+        points.append(GridPoint(
+            q, tuple(parse_rational(v) for v in row[1:1 + d]),
+            tuple(parse_rational(v) for v in row[1 + d:1 + 2 * d]),
+            tuple(_witness(cell, d) for cell in row[1 + 2 * d:1 + 3 * d])))
+    return MinimaProfile(body, gap_bits, bound_mode, tuple(points))

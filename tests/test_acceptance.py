@@ -217,16 +217,16 @@ def test_criterion_7_minkowski_property(acceptance_profiles):
         log_fact = GAP.log(
             __import__("math").factorial(prof.dim))
         assert minkowski_check(prof).ok, name
-        for i, q in prof.valid_points():
-            total = sum(prof.logs[i])
+        for p in prof.valid:
+            q, total = p.q, sum(p.logs)
             assert q - log_fact - TOL_50 <= total <= q + TOL_50, (
                 f"{name} at q={q}")
             points += 1
     # the simultaneous body has constant volume: same pin around zero
     assert minkowski_check(simultaneous).ok
     log_fact = GAP.log(2)
-    for i, q in simultaneous.valid_points():
-        total = sum(simultaneous.logs[i])
+    for p in simultaneous.valid:
+        total = sum(p.logs)
         assert -log_fact - TOL_50 <= total <= TOL_50
         points += 1
     report(7, f"{points} profile points satisfy the second-theorem pin "
@@ -237,9 +237,9 @@ def test_criterion_8_rational_target_singularity(acceptance_profiles):
     profiles, _, _ = acceptance_profiles
     prof = profiles["two-thirds"]
     margins = []
-    for i, q in prof.valid_points():
-        if prof.scales[i] > 3:
-            margins.append((q, q / 2 - prof.logs[i][0]))
+    for p in prof.valid:
+        if GAP.exp(p.q) > 3:
+            margins.append((p.q, p.q / 2 - p.logs[0]))
     assert len(margins) >= 6
     for (q1, m1), (q2, m2) in zip(margins, margins[1:]):
         assert m2 > m1, f"margin dip between q={q1} and q={q2}"
@@ -255,10 +255,10 @@ def test_criterion_9_badly_approximable_band(acceptance_profiles):
     prof = profiles["golden"]
     x = prof.body.x[0]
     band = F(0)
-    for i, q in prof.valid_points():
-        band = max(band, abs(q / 2 - prof.logs[i][0]))
+    for p in prof.valid:
+        band = max(band, abs(p.q / 2 - p.logs[0]))
         # independent check: first minimum from best rational approximations
-        assert prof.minima[i][0] == cf_lambda1(x, prof.scales[i])
+        assert p.minima[0] == cf_lambda1(x, GAP.exp(p.q))
     assert band <= 1
     diag = analyze_profile(prof, F(1), gap=GAP)
     assert not diag.omega_is_infinite
@@ -268,7 +268,7 @@ def test_criterion_9_badly_approximable_band(acceptance_profiles):
     report(9, f"golden-ratio proxy (denominator {x.denominator}): "
               f"band max |q/2 - L_1| = {float(band):.3f} <= 1.0, omega = "
               f"{float(omega):.4f} in [1, 1.1], first minima equal the "
-              f"continued-fraction oracle at all {len(prof.grid)} points; "
+              f"continued-fraction oracle at all {len(prof.points)} points; "
               f"profiles built in {elapsed:.1f}s (< 30s)")
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import pathlib
@@ -134,6 +135,16 @@ class TestMinima:
         assert joined[0] == 0
         assert cli(capsys, "minima", "--x", x, "--grid", "-1:1:1/2") == joined
 
+    def test_underflowing_point_is_an_error_row(self, capsys):
+        code, out, _ = cli(capsys, "minima", "--x", "1/3", "--grid",
+                           "-46:-42:2")
+        assert code == 0
+        rows = list(csv.reader(l for l in out.splitlines()
+                               if not l.startswith("#")))[1:]
+        assert [row[0] for row in rows] == ["-46", "-44", "-42"]
+        assert all(not any(row[1:-1]) and row[-1] for row in rows)
+        assert rows[0][-1] == "exp(-46) underflows the 64-bit dyadic surrogate"
+
     def test_m_mismatch_is_usage_error(self, capsys):
         code, _, _ = cli(capsys, "minima", "--mode", "simultaneous",
                          "--x", "1/3", "--m", "2", "--grid", "0:1:1")
@@ -233,6 +244,17 @@ class TestPlot:
         assert 'class="overlay"' in doc
         assert "s_1^m" in doc and "q_2" in doc
 
+    def test_block_plot_honours_the_size(self, capsys, tmp_path):
+        system, fig = tmp_path / "system.json", tmp_path / "fig.svg"
+        cli(capsys, *BUILD, "--out", str(system))
+        code, _, _ = cli(capsys, "plot", "--input", str(system), "--block",
+                         "1", "--width", "300", "--height", "200",
+                         "--out", str(fig))
+        assert code == 0
+        root = xml.dom.minidom.parseString(fig.read_text()).documentElement
+        assert (root.getAttribute("width"), root.getAttribute("height"),
+                root.getAttribute("viewBox")) == ("300", "200", "0 0 300 200")
+
     def test_build_svg_flag(self, capsys, tmp_path):
         system = tmp_path / "system.json"
         fig = tmp_path / "fig.svg"
@@ -294,6 +316,19 @@ class TestExitCodes:
         assert code == 3 and not out
         assert err.startswith("error: profile ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_compare_with_a_header_only_profile_exits_3(self, capsys,
+                                                         tmp_path):
+        system, prof = tmp_path / "system.json", tmp_path / "profile.csv"
+        system.write_text(json.dumps({"n": 1, "breakpoints": ["0", "8"],
+                                      "values": [["0", "0"], ["0", "8"]]}))
+        prof.write_text("# pgn-profile v1\n# mode=linear-form\n# x=2/3\n"
+                        "q,lambda_1,lambda_2,L_1,L_2,witness_1,witness_2,"
+                        "error\n")
+        code, out, err = cli(capsys, "compare", "--system", str(system),
+                             "--profile", str(prof))
+        assert code == 3 and not out
+        assert err == "error: profile has no grid points\n"
 
     @pytest.mark.parametrize("bound", ["abc", "1e3", "0", "-3"])
     def test_bad_bound_is_a_usage_error(self, capsys, bound):

@@ -1,3 +1,5 @@
+import fractions
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
                  StructureError, concatenate,
                  format_rational, parse_rational, sup_distance)
+from pgn.core import _MAX_DECIMAL_EXPONENT
 from pgn.template import TemplateParams, build_block, build_system
 
 from oracles import dense_max_distance, exp_oracle, ln_oracle
@@ -62,6 +65,15 @@ _FALLBACK_FORMS = [
 
 
 def _same_as_fraction(text):
+    """parse_rational(text) is Fraction(text.strip()), or both refuse; a
+    decimal exponent beyond the bound, as Fraction's own pattern reads it,
+    is refused before Fraction runs."""
+    literal = fractions._RATIONAL_FORMAT.match(text.strip())
+    if (literal and literal["exp"]
+            and abs(int(literal["exp"])) > _MAX_DECIMAL_EXPONENT):
+        with pytest.raises(PgnError):
+            parse_rational(text)
+        return
     try:
         want = F(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -98,6 +110,32 @@ def test_other_literals_fall_back_to_fraction(text, form):
 @given(st.text("0123456789-+/._ \t\n١٢", max_size=12))
 def test_any_literal_parses_like_fraction(text):
     _same_as_fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1e4301", "1e-4301", "1E+10000000", "1e10000000", " 2.5e4301 ",
+    "1e4_301", "1e\u0664\u0663\u0660\u0661", "-.5E-00004301"])
+def test_exponent_beyond_the_bound_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(PgnError, match="decimal exponent"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "1e0004300",
+                                  "-2.5E+4_300", "1e\u0664\u0663\u0660\u0660"])
+def test_exponent_at_the_bound_parses_like_fraction(text):
+    _same_as_fraction(text)
+    assert abs(parse_rational(text)) >= F(1, 10 ** 4300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["1", "-3", "2.5", ".5", " 7/1"]),
+       st.sampled_from(["e", "E"]),
+       st.integers(min_value=-20_000, max_value=20_000))
+def test_literals_with_exponents_parse_like_fraction(mantissa, mark,
+                                                     exponent):
+    _same_as_fraction(f"{mantissa}{mark}{exponent:+d}")
 
 
 class TestGapFunction:

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgn import (GapFunction, GaugeBody, LINEAR_FORM, PgnError,
-                 PiecewiseLinearMap, analyze, analyze_profile,
-                 compare_system_profile, minima_profile,
+from pgn import (GapFunction, GaugeBody, GridPoint, LINEAR_FORM,
+                 MinimaProfile, PgnError, PiecewiseLinearMap, analyze,
+                 analyze_profile, compare_system_profile, minima_profile,
                  profile_interpolant, profile_kernel_locked)
 from pgn.diagnostics import _last_local_min
-from pgn.minima import MinimaProfile
 from pgn.template import TemplateParams, block_functionals, build_system
 
 GAP = GapFunction()
@@ -163,9 +162,9 @@ class TestAnalyzeProfiles:
         prof = minima_profile(GaugeBody(LINEAR_FORM, (F(2, 3),)),
                               range(0, 5))
         interp = profile_interpolant(prof)
-        assert interp.breakpoints == prof.grid
-        for i, q in prof.valid_points():
-            assert interp.evaluate(q) == prof.logs[i]
+        assert interp.breakpoints == tuple(p.q for p in prof.points)
+        for p in prof.valid:
+            assert interp.evaluate(p.q) == p.logs
 
     def test_censoring_note_present(self):
         prof = minima_profile(GaugeBody(LINEAR_FORM, (F(1, 2),)),
@@ -181,13 +180,10 @@ class TestCompare:
         logs = tuple(built.map.evaluate(q) for q in grid)
         fake = MinimaProfile(
             body=GaugeBody(LINEAR_FORM, (F(0), F(0))), gap_bits=64,
-            bound_mode="auto", grid=grid,
-            scales=tuple(GAP.exp(q) for q in grid),
-            minima=tuple(tuple(F(1) for _ in row) for row in logs),
-            logs=logs,
-            witnesses=tuple(((1, 0, 0), (0, 1, 0), (0, 0, 1))
-                            for _ in grid),
-            errors=(None,) * len(grid))
+            bound_mode="auto", points=tuple(
+                GridPoint(q, (F(1),) * len(row), row,
+                          ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+                for q, row in zip(grid, logs)))
         report = compare_system_profile(built.map, fake)
         assert report.sup_distance_on_grid == 0
         assert report.points == len(grid)

@@ -137,18 +137,18 @@ class TestProfiles:
     def test_single_point_profile(self):
         body = GaugeBody(LINEAR_FORM, (F(0),))
         prof = minima_profile(body, [F(0)])
-        assert prof.minima == ((F(1), F(1)),)
-        assert prof.logs == ((F(0), F(0)),)
+        assert [(p.minima, p.logs) for p in prof.points] == [
+            ((F(1), F(1)), (F(0), F(0)))]
 
     def test_two_thirds_profile_locks(self):
         body = GaugeBody(LINEAR_FORM, (F(2, 3),))
         prof = minima_profile(body, range(0, 9))
         log3 = GAP.log(3)
-        for i, q in prof.valid_points():
-            if GAP.exp(q) >= 9:
-                assert prof.minima[i][0] == 3
-                assert prof.logs[i][0] == log3
-                assert is_form_kernel(body, prof.witnesses[i][0])
+        for p in prof.valid:
+            if GAP.exp(p.q) >= 9:
+                assert p.minima[0] == 3
+                assert p.logs[0] == log3
+                assert is_form_kernel(body, p.witnesses[0])
 
     def test_first_minimum_nondecreasing_in_q(self):
         rng = random.Random(3)
@@ -156,14 +156,14 @@ class TestProfiles:
             x = (F(rng.randint(-9, 9), rng.randint(2, 12)),)
             prof = minima_profile(GaugeBody(LINEAR_FORM, x),
                                   [F(i, 2) for i in range(9)])
-            firsts = [prof.minima[i][0] for i, _ in prof.valid_points()]
+            firsts = [p.minima[0] for p in prof.valid]
             assert all(a <= b for a, b in zip(firsts, firsts[1:]))
 
     def test_minima_sorted_at_each_point(self):
         body = GaugeBody(LINEAR_FORM, (F(5, 7), F(-2, 9)))
         prof = minima_profile(body, range(0, 5))
-        for i, _ in prof.valid_points():
-            row = prof.minima[i]
+        for p in prof.valid:
+            row = p.minima
             assert all(a <= b for a, b in zip(row, row[1:]))
             assert row[0] > 0
 
@@ -172,25 +172,27 @@ class TestProfiles:
         # minimum from scale 9 on; past that the margin climbs strictly
         body = GaugeBody(LINEAR_FORM, (F(2, 3),))
         prof = minima_profile(body, [F(i, 4) for i in range(4, 33)])
-        margins = [(q, q / 2 - prof.logs[i][0])
-                   for i, q in prof.valid_points() if prof.scales[i] >= 9]
+        margins = [(p.q, p.q / 2 - p.logs[0])
+                   for p in prof.valid if GAP.exp(p.q) >= 9]
         assert len(margins) >= 10
         assert all(b > a for (_, a), (_, b) in zip(margins, margins[1:]))
 
     def test_errors_recorded_not_fatal(self):
         body = GaugeBody(LINEAR_FORM, (F(1, 3),))
         prof = minima_profile(body, [F(0), F(8)], bound=4)
-        assert prof.minima[0] is not None
-        assert prof.minima[1] is None
-        assert "certify" in prof.errors[1]
+        first, second = prof.points
+        assert first.minima is not None and first.error is None
+        assert second.minima is None
+        assert "certify" in second.error
 
     def test_negative_q_refusal_counts_the_form_coordinate(self):
         # at q=-20 the window's v_0 range alone holds about 2e9 integers
         start = time.perf_counter()
         prof = minima_profile(GaugeBody(LINEAR_FORM, (F(1, 3),)), [-20])
         assert time.perf_counter() - start < 1
-        assert prof.minima == (None,)
-        assert prof.errors[0].startswith("desk-scale limit")
+        [point] = prof.points
+        assert point.minima is None
+        assert point.error.startswith("desk-scale limit")
 
     def test_grid_must_increase(self):
         with pytest.raises(PgnError):
@@ -204,6 +206,10 @@ def _cold_point(body, q):
     except PgnError as exc:
         return None, None, str(exc)
     return res.minima, res.witnesses, None
+
+
+def _point_rows(prof):
+    return [(p.minima, p.witnesses, p.error) for p in prof.points]
 
 
 class TestWarmStart:
@@ -223,10 +229,9 @@ class TestWarmStart:
             start, step = F(rng.randint(-6, 4), 2), F(1, rng.choice([1, 2, 4]))
             grid = [start + k * step for k in range(rng.randint(4, 12))]
             prof = minima_profile(body, grid)
-            rows = list(zip(prof.minima, prof.witnesses, prof.errors))
-            assert rows == [_cold_point(body, q) for q in grid]
-            refused += sum(e is not None for e in prof.errors)
-            certified += sum(e is None for e in prof.errors)
+            assert _point_rows(prof) == [_cold_point(body, q) for q in grid]
+            refused += len(prof.points) - len(prof.valid)
+            certified += len(prof.valid)
         assert refused and certified
 
     def test_refusal_after_certified_points_is_replayed(self, monkeypatch):
@@ -236,11 +241,11 @@ class TestWarmStart:
         body = GaugeBody(LINEAR_FORM, (F(483, 500), F(-1, 1000)))
         grid = [F(3, 2) + k * F(1, 4) for k in range(8)]
         prof = minima_profile(body, grid)
-        assert [e is None for e in prof.errors] == [True] * 4 + [False] * 4
-        assert prof.errors[4] == ("desk-scale limit: certifying minima at "
-                                  "this point needs a scan of 1683 points")
-        assert (list(zip(prof.minima, prof.witnesses, prof.errors))
-                == [_cold_point(body, q) for q in grid])
+        errors = [p.error for p in prof.points]
+        assert [e is None for e in errors] == [True] * 4 + [False] * 4
+        assert errors[4] == ("desk-scale limit: certifying minima at "
+                             "this point needs a scan of 1683 points")
+        assert _point_rows(prof) == [_cold_point(body, q) for q in grid]
 
     @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
     def test_one_window_pass_per_point_after_the_first(self, monkeypatch,
@@ -259,7 +264,7 @@ class TestWarmStart:
         first = len(calls)
         calls.clear()
         prof = minima_profile(body, grid)
-        assert all(e is None for e in prof.errors)
+        assert prof.valid == prof.points
         assert len(calls) == first + len(grid) - 1
 
 
@@ -332,24 +337,32 @@ class TestContinuedFractionAgreement:
             assert res.minima[0] == cf_lambda1(x, res.scale)
 
 
+def _assert_round_trip(prof):
+    text = profile_to_csv(prof)
+    assert profile_from_csv(text) == prof
+    assert profile_to_csv(profile_from_csv(text)) == text
+
+
 class TestProfileSerialization:
     def test_round_trip_bit_exact(self):
-        body = GaugeBody(LINEAR_FORM, (F(2, 3),))
-        prof = minima_profile(body, range(0, 6))
-        text = profile_to_csv(prof)
-        back = profile_from_csv(text)
-        assert back.body == prof.body
-        assert back.grid == prof.grid
-        assert back.minima == prof.minima
-        assert back.logs == prof.logs
-        assert back.witnesses == prof.witnesses
-        assert profile_to_csv(back) == text
+        _assert_round_trip(minima_profile(GaugeBody(LINEAR_FORM, (F(2, 3),)),
+                                          range(0, 6)))
+        _assert_round_trip(minima_profile(
+            GaugeBody(SIMULTANEOUS, (F(5, 7), F(-2, 9))),
+            [F(k, 2) for k in range(-2, 5)]))
 
     def test_round_trip_with_error_rows(self):
         body = GaugeBody(LINEAR_FORM, (F(1, 3),))
-        prof = minima_profile(body, [F(0), F(8)], bound=4)
-        back = profile_from_csv(profile_to_csv(prof))
-        assert back.minima[1] is None and back.errors[1]
+        _assert_round_trip(minima_profile(body, [F(0), F(8)], bound=4))
+        _assert_round_trip(minima_profile(body, [-46, -44, 0]))
+
+    def test_underflow_is_an_error_row(self):
+        prof = minima_profile(GaugeBody(LINEAR_FORM, (F(1, 3),)),
+                              [-46, -44, 0])
+        assert (prof.points[0].error
+                == "exp(-46) underflows the 64-bit dyadic surrogate")
+        assert prof.points[1].minima is None
+        assert prof.valid == prof.points[2:]
 
     def test_rejects_empty(self):
         with pytest.raises(PgnError):
@@ -374,12 +387,11 @@ _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl",
 @given(_LINE_TEXT, _LINE_TEXT)
 def test_error_text_with_comma_and_quote_round_trips(head, tail):
     message = f'{head}, "{tail}"'.strip()
-    prof = dataclasses.replace(_ERROR_PROFILE, errors=(None, message))
-    text = profile_to_csv(prof)
-    back = profile_from_csv(text)
-    assert back.errors == (None, message)
-    assert back.minima == prof.minima and back.witnesses == prof.witnesses
-    assert profile_to_csv(back) == text
+    first, second = _ERROR_PROFILE.points
+    prof = dataclasses.replace(
+        _ERROR_PROFILE, points=(first, dataclasses.replace(second,
+                                                           error=message)))
+    _assert_round_trip(prof)
 
 
 @settings(max_examples=40, deadline=None)
