@@ -24,9 +24,9 @@ from .diagnostics import analyze, analyze_profile, compare_system_profile
 from .minima import (GaugeBody, LINEAR_FORM, SIMULTANEOUS, minima_profile,
                      profile_from_csv, profile_to_csv, proxy_horizon)
 from .svg import PlotSpec, render_svg
-from .template import (BETA_BOUNDED, BETA_LOG, TemplateParams, build_block,
-                       build_system, default_rn, derive_alpha_beta,
-                       system_meta)
+from .template import (BETA_BOUNDED, BETA_LOG, TemplateOrderingError,
+                       TemplateParams, build_block, build_system, default_rn,
+                       derive_alpha_beta, system_meta)
 from .validator import validate_raw
 
 EXIT_OK = 0
@@ -110,14 +110,19 @@ def _block_labels(k: int, bp) -> list[tuple[Fraction, str]]:
 
 def _block_figure(params: TemplateParams, k: int, q_k, **size) -> str:
     """One block with its delta=0 and delta=1 siblings dotted, as in the
-    generic-block figure; ``size`` may set the PlotSpec width and height."""
+    generic-block figure; ``size`` may set the PlotSpec width and height.
+    A sibling whose ordering fails at this q_k is left out, and the title
+    says so."""
     block, bp = build_block(params, k, q_k)
-    overlays = []
+    overlays, left_out = [], ""
     for endpoint in (Fraction(0), Fraction(1)):
         if endpoint == params.delta:
             continue
         variant = dataclasses.replace(params, delta=endpoint)
-        overlays.append(build_block(variant, k, q_k)[0])
+        try:
+            overlays.append(build_block(variant, k, q_k)[0])
+        except TemplateOrderingError as exc:
+            left_out += f"; delta={endpoint} left out ({exc.inequality} fails)"
     labels = [(q, lab) for q, lab in _block_labels(k, bp)
               if bp.q_k <= q <= bp.q_k1]
     # collapse labels at coinciding points (e.g. s_k = s_k^m at delta = 1)
@@ -129,7 +134,7 @@ def _block_figure(params: TemplateParams, k: int, q_k, **size) -> str:
         annotations=tuple(sorted(merged.items())),
         guide_n=params.n, guide_w=params.w,
         title=f"block {k}, delta={format_rational(params.delta)} "
-              f"(dotted: delta=0 and delta=1)", **size)
+              f"(dotted: delta=0 and delta=1){left_out}", **size)
     return render_svg(spec)
 
 
@@ -295,11 +300,7 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pgn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="construct a template system")
+def _build_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--alpha")
@@ -318,13 +319,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="-")
     p.add_argument("--svg")
     p.add_argument("--breakpoints-csv")
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("validate", help="check the system axioms")
+
+def _validate_args(p):
     p.add_argument("system", help="system JSON path or - for stdin")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("minima", help="successive-minima profile")
+
+def _minima_args(p):
     p.add_argument("--mode", choices=["linear-form", "simultaneous"],
                    default="linear-form")
     p.add_argument("--x", required=True,
@@ -334,23 +335,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="start:stop:step")
     p.add_argument("--bound", default="auto")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_minima)
 
-    p = sub.add_parser("diagnose", help="tail margins and exponent estimate")
+
+def _diagnose_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--w")
     p.add_argument("--epsilon")
     p.add_argument("--nu")
     p.add_argument("--tail-from")
-    p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("compare", help="bounded-distance comparison")
+
+def _compare_args(p):
     p.add_argument("--system", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--rn")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("plot", help="render a system as SVG")
+
+def _plot_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--block", type=int)
@@ -358,7 +359,31 @@ def _build_parser() -> _Parser:
                    default=True)
     p.add_argument("--width", type=int, default=900)
     p.add_argument("--height", type=int, default=540)
-    p.set_defaults(func=_cmd_plot)
+
+
+# name: (help, arguments, handler), in the order of the usage text
+_COMMANDS = {
+    "build": ("construct a template system", _build_args, _cmd_build),
+    "validate": ("check the system axioms", _validate_args, _cmd_validate),
+    "minima": ("successive-minima profile", _minima_args, _cmd_minima),
+    "diagnose": ("tail margins and exponent estimate", _diagnose_args,
+                 _cmd_diagnose),
+    "compare": ("bounded-distance comparison", _compare_args, _cmd_compare),
+    "plot": ("render a system as SVG", _plot_args, _cmd_plot),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser, with only ``command``'s subparser when it names one
+    (argparse dispatches on the first token alone), else with all."""
+    parser = _Parser(prog="pgn", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        if command in _COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -378,9 +403,10 @@ def _attach_negative_values(argv) -> list[str]:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    argv = _attach_negative_values(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

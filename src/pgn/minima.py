@@ -11,8 +11,8 @@ linear-form body has n unit rows on v_1..v_n (p=0, d=1), then the form row
 unit row on v_0 (p=-m, d=1), then m rows den*v_i - num_i*v_0 (p=1, d=den).
 The scale e^q is replaced once by the GapFunction's dyadic surrogate E,
 after which every gauge value is an exact rational.  Weights are kept over
-one common denominator, so a scan yields each gauge as an integer numerator
-g over that denominator; a Fraction is built only for the chosen minima.
+one common denominator, so a window point runs in integers (thresholds,
+gauges, the certificate box); a Fraction is built only for its minima.
 
 One triangular scan, the max-norm form of Fincke-Pohst, serves two
 enumeration strategies with bit-identical results:
@@ -22,8 +22,9 @@ enumeration strategies with bit-identical results:
 * self-certifying window enumeration of exactly {v != 0 : gauge(v) <= T},
   complete once the window has full rank.  Each pivot runs over the
   integers its row allows given the earlier pivots, a provably lossless
-  pruning of box enumeration.  T doubles from 1, or along a profile is
-  set once from the previous point's witnesses.
+  pruning of box enumeration; positions with an empty leaf range are
+  skipped before any gauge.  T doubles from 1, or along a profile is set
+  once from the previous point's witnesses.
 
 Before scanning, the widths of all coordinate ranges are multiplied, the
 form coordinate's too (about 2T/E wide at negative q), and a product past
@@ -92,8 +93,8 @@ def _rows(body: GaugeBody):
 
 class IntegerBody:
     """A gauge body at one exact scale E, as integer rows with integer
-    weights over one common denominator:
-    gauge(v) = max_r |A_r . v| * weights[r] / den."""
+    weights over one common denominator: gauge(v) = numerator(v) / den,
+    numerator(v) = max_r |A_r . v| * weights[r]."""
 
     __slots__ = ("rows", "powers", "weights", "den")
 
@@ -101,47 +102,45 @@ class IntegerBody:
         rows = _rows(body)
         self.rows = tuple((pivot, coeffs) for pivot, coeffs, _, _ in rows)
         self.powers = tuple(p for _, _, p, _ in rows)
-        exact = [Fraction(scale) ** p / d for _, _, p, d in rows]
-        self.den = math.lcm(*(w.denominator for w in exact))
-        self.weights = tuple(w.numerator * (self.den // w.denominator)
-                             for w in exact)
+        a, b = scale.numerator, scale.denominator
+        exact = [(a ** p, b ** p * d) if p >= 0 else (b ** -p, a ** -p * d)
+                 for _, _, p, d in rows]  # E^p / d as (numerator, denominator)
+        self.den = math.lcm(*(dn // math.gcd(num, dn) for num, dn in exact))
+        self.weights = tuple(num * self.den // dn for num, dn in exact)
 
     def _values(self, vec):
         return [sum(a * c for a, c in zip(coeffs, vec))
                 for _, coeffs in self.rows]
 
+    def numerator(self, vec) -> int:
+        return max(abs(v) * w for v, w in zip(self._values(vec), self.weights))
+
     def gauge(self, vec) -> Fraction:
-        return Fraction(max(abs(v) * w for v, w in
-                            zip(self._values(vec), self.weights)), self.den)
+        return Fraction(self.numerator(vec), self.den)
 
     def is_kernel(self, vec) -> bool:
         """True when every scaled row (p > 0) vanishes on vec."""
         return not any(v for v, p in zip(self._values(vec), self.powers)
                        if p > 0)
 
-    @property
-    def jump(self) -> Fraction:
-        """Least gauge of a vector off the kernel: a nonzero scaled row
-        value is at least 1 in absolute value."""
-        return Fraction(min(w for w, p in zip(self.weights, self.powers)
-                            if p > 0), self.den)
+    def radii(self, t: int) -> list[int]:
+        """Per row, the largest |A_r . v| that gauge(v) <= t / den allows."""
+        return [t // w for w in self.weights]
 
-    def radii(self, threshold: Fraction) -> list[int]:
-        """Per row, the largest |A_r . v| that gauge(v) <= threshold allows."""
-        t = Fraction(threshold)
-        return [t.numerator * self.den // (t.denominator * w)
-                for w in self.weights]
-
-    def reach(self, lam: Fraction) -> Fraction:
-        """Smallest box max-norm containing every vector of gauge <= lam
+    def reach(self, lam) -> int:
+        """Least integer box max-norm holding every vector of gauge <= lam
         (the certificate): each pivot's reach, from its row's bound and the
-        reach of the pivots the row reads, then the max."""
-        reach = [Fraction(0)] * len(self.rows)
+        reach of the pivots it reads, kept over one running denominator."""
+        num, dnm = lam.numerator, lam.denominator
+        reach, common = [0] * len(self.rows), 1
         for (pivot, coeffs), w in zip(self.rows, self.weights):
             spread = sum(abs(a) * reach[j] for j, a in enumerate(coeffs)
                          if j != pivot)
-            reach[pivot] = (lam * self.den / w + spread) / coeffs[pivot]
-        return max(reach)
+            factor = dnm * w * coeffs[pivot]
+            reach = [r * factor for r in reach]
+            reach[pivot] = num * self.den * common + spread * dnm * w
+            common *= factor
+        return -(-max(reach) // common)
 
 
 def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
@@ -151,7 +150,7 @@ def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
         raise PgnError("gauge of the zero vector is undefined")
     if len(vec) != body.dim:
         raise PgnError(f"vector has {len(vec)} coordinates, body needs {body.dim}")
-    return IntegerBody(body, scale).gauge(vec)
+    return IntegerBody(body, Fraction(scale)).gauge(vec)
 
 
 def gauge(body: GaugeBody, q, vec, gap: GapFunction | None = None) -> Fraction:
@@ -238,19 +237,24 @@ def _scan_level(levels, bound, k, vec, best, free, out):
                         g if g > best else best, free and not v, out)
         return
     # the level above the leaf runs the leaf's range itself, with no call
-    # per v: the leaf's row sum is base + step * v
+    # per v; its row sum is base + step * v.  Most leaf ranges of a window
+    # are empty, and a u exists iff (radius - leaf_s) % leaf_lead <= 2 radius
     leaf, leaf_lead, leaf_reads, leaf_weight, leaf_radius = levels[k + 1]
     step = sum(a for j, a in leaf_reads if j == pivot)
     base = sum(a * vec[j] for j, a in leaf_reads if j != pivot)
     u_lo, u_hi = -bound, bound
+    span = None if leaf_radius is None else 2 * leaf_radius
     for v in range(0 if free else lo, hi + 1):
+        leaf_s = base + step * v
+        if span is not None:
+            rest = leaf_radius - leaf_s
+            if rest % leaf_lead > span:
+                continue
+            u_lo = -((leaf_radius + leaf_s) // leaf_lead)
+            u_hi = rest // leaf_lead
         vec[pivot] = v
         g = abs(lead * v + s) * weight
         top = g if g > best else best
-        leaf_s = base + step * v
-        if leaf_radius is not None:
-            u_lo = -((leaf_radius + leaf_s) // leaf_lead)
-            u_hi = (leaf_radius - leaf_s) // leaf_lead
         for u in range(1 if free and not v else u_lo, u_hi + 1):
             vec[leaf] = u
             g = abs(leaf_lead * u + leaf_s) * leaf_weight
@@ -265,14 +269,14 @@ def _enumerate_box(ib: IntegerBody, bound: int):
     return _scan(ib, [None] * len(ib.rows), bound)
 
 
-def _enumerate_within(ib: IntegerBody, threshold: Fraction):
-    """Exactly the canonical vectors whose gauge is <= threshold."""
-    return _scan(ib, ib.radii(threshold))
+def _enumerate_within(ib: IntegerBody, t: int):
+    """Exactly the canonical vectors whose gauge is <= t / ib.den."""
+    return _scan(ib, ib.radii(t))
 
 
-def _greedy_minima(candidates, dim: int, den: int):
+def _greedy_minima(candidates, dim: int):
     """Select the minima and witnesses from (g, vector) candidates of one
-    scan, each of gauge g / den.
+    scan, each of gauge g / den; the minima are returned as numerators g.
 
     Candidates are ranked by gauge, ties broken by smallest coordinate
     magnitudes then lexicographically, and picked greedily subject to
@@ -282,13 +286,13 @@ def _greedy_minima(candidates, dim: int, den: int):
     before it has dim picks."""
     candidates.sort(key=itemgetter(0))
     tracker = _RankTracker()
-    minima: list[Fraction] = []
+    minima: list[int] = []
     witnesses: list[tuple[int, ...]] = []
     for g, run in groupby(candidates, key=itemgetter(0)):
         for _, vec in sorted(run, key=lambda item: (
                 tuple(abs(c) for c in item[1]), item[1])):
             if tracker.try_add(vec):
-                minima.append(Fraction(g, den))
+                minima.append(g)
                 witnesses.append(vec)
                 if len(minima) == dim:
                     return minima, witnesses
@@ -318,52 +322,49 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
-    minima, witnesses = _greedy_minima(_enumerate_box(ib, bound),
-                                       body.dim, ib.den)
-    if len(minima) < body.dim:
+    nums, witnesses = _greedy_minima(_enumerate_box(ib, bound), body.dim)
+    if len(nums) < body.dim:
         raise BoundTooSmallError(
-            f"only {len(minima)} independent vectors in the box of size "
+            f"only {len(nums)} independent vectors in the box of size "
             f"{bound}", suggested=2 * bound)
+    minima = tuple(Fraction(g, ib.den) for g in nums)
     needed = ib.reach(minima[-1])
     certified = needed <= bound
     if require_certificate and not certified:
         raise BoundTooSmallError(
             f"bound {bound} cannot certify lambda_{body.dim} = "
-            f"{format_rational(minima[-1])}; need {math.ceil(needed)}",
-            suggested=math.ceil(needed))
-    return MinimaResult(tuple(minima), tuple(witnesses), scale, bound,
-                        certified)
+            f"{format_rational(minima[-1])}; need {needed}", suggested=needed)
+    return MinimaResult(minima, tuple(witnesses), scale, bound, certified)
 
 
 def _cold(ib: IntegerBody, dim: int, replay=None):
-    """Cold doubling: scan thresholds 1, 2, 4, ... until the window has
-    full rank; the (minima, witnesses) of the last pass.
+    """Cold doubling: scan thresholds t = den, 2 den, 4 den, ... until the
+    window has full rank; the (minima, witnesses) of the last pass.
 
     The picks at T are the prefix of the final picks with lambda <= T, and
     they alone decide the next T.  So ``replay`` = (minima, witnesses,
     fits), the final picks and a threshold known to fit, replays the
     schedule without scanning; each T past ``fits`` (the scan only grows
     with T) goes through the size check, which raises what it would."""
-    threshold = Fraction(1)
+    t = ib.den
+    jump = min(w for w, p in zip(ib.weights, ib.powers) if p > 0)
     for _ in range(_MAX_DOUBLINGS):
         if replay is None:
-            minima, witnesses = _greedy_minima(
-                _enumerate_within(ib, threshold), dim, ib.den)
+            minima, witnesses = _greedy_minima(_enumerate_within(ib, t), dim)
         else:
             final, chosen, fits = replay
-            if threshold > fits:
-                _check_size(ib, ib.radii(threshold))
-            minima = [lam for lam in final if lam <= threshold]
+            if t > fits:
+                _check_size(ib, ib.radii(t))
+            minima = [g for g in final if g <= t]
             witnesses = chosen[:len(minima)]
         if len(minima) == dim:
             return minima, witnesses
-        threshold *= 2
-        if (len(minima) == dim - 1
-                and all(ib.is_kernel(v) for v in witnesses)
-                and ib.jump > threshold):
-            # the witnesses span the whole form-kernel sublattice, so the
-            # missing direction costs at least the jump value; go there
-            threshold = ib.jump
+        t *= 2
+        if (len(minima) == dim - 1 and jump > t
+                and all(ib.is_kernel(v) for v in witnesses)):
+            # the witnesses span the form-kernel sublattice, and off it a
+            # scaled row value is a nonzero integer: numerator >= jump
+            t = jump
     raise PgnError("window enumeration failed to reach full rank")
 
 
@@ -390,14 +391,14 @@ def successive_minima_certified(
     ib = IntegerBody(body, scale)
     picks = None
     if start:
-        threshold = max(ib.gauge(w) for w in start)
-        if _scan_points(ib, ib.radii(threshold)) <= _MAX_WINDOW_POINTS:
-            picks = _greedy_minima(_enumerate_within(ib, threshold),
-                                   body.dim, ib.den)
-            _cold(ib, body.dim, (*picks, threshold))
-    minima, witnesses = picks or _cold(ib, body.dim)
-    return MinimaResult(tuple(minima), tuple(witnesses), scale,
-                        math.ceil(ib.reach(minima[-1])), True)
+        t = max(ib.numerator(w) for w in start)
+        if _scan_points(ib, ib.radii(t)) <= _MAX_WINDOW_POINTS:
+            picks = _greedy_minima(_enumerate_within(ib, t), body.dim)
+            _cold(ib, body.dim, (*picks, t))
+    nums, witnesses = picks or _cold(ib, body.dim)
+    minima = tuple(Fraction(g, ib.den) for g in nums)
+    return MinimaResult(minima, tuple(witnesses), scale,
+                        ib.reach(minima[-1]), True)
 
 
 @dataclass(frozen=True)
@@ -472,9 +473,8 @@ def minkowski_check(profile: MinimaProfile) -> MinkowskiReport:
     The body has volume 2^dim / E^s, as det A = prod d_r, with s the sum
     of the row powers p (1 for the linear-form body, 0 for the
     simultaneous one), so the theorem pins E^s/dim! <= product(lambda_d)
-    <= E^s exactly.  The exact product
-    inequality is decided over the rationals; log-scale margins are
-    reported for inspection.
+    <= E^s exactly.  The exact product inequality is decided over the
+    rationals; log-scale margins are reported for inspection.
     """
     gap = GapFunction(profile.gap_bits)
     exponent = sum(power for _, _, power, _ in _rows(profile.body))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from pgn import PiecewiseLinearMap, validate
-from pgn.cli import run
+from pgn.cli import _build_parser, run
 from pgn.template import TemplateParams, build_system
 
 
@@ -274,6 +275,54 @@ class TestPlot:
         assert cli(capsys, "plot", "--input", str(system), "--block", "1",
                    "--out", str(plotted))[0] == 0
         assert plotted.read_bytes() == built.read_bytes()
+
+
+    def test_block_plot_leaves_out_an_unbuildable_sibling(self, capsys,
+                                                          tmp_path):
+        # at q_1 = 4 the delta=1/2 block orders, its delta=0 sibling not
+        system, built, plotted = (tmp_path / name for name in
+                                  ("small.json", "built.svg", "plot.svg"))
+        assert cli(capsys, "build", "--n", "2", "--w", "6", "--alpha",
+                   "1/10", "--beta", "1/20", "--q1", "4", "--blocks", "1",
+                   "--out", str(system), "--svg", str(built))[0] == 0
+        assert cli(capsys, "plot", "--input", str(system), "--block", "1",
+                   "--out", str(plotted))[0] == 0
+        assert plotted.read_bytes() == built.read_bytes()
+        doc = plotted.read_text()
+        assert "; delta=0 left out (t_k &lt; u_k fails)</text>" in doc
+        # one dotted sibling of n+1 components
+        assert doc.count('class="overlay"') == 3
+
+
+class TestParser:
+    @staticmethod
+    def _commands(parser):
+        [action] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_one_subparser_per_named_command(self):
+        full = self._commands(_build_parser())
+        assert list(full) == ["build", "validate", "minima", "diagnose",
+                              "compare", "plot"]
+        for name, sub in full.items():
+            only = self._commands(_build_parser(name))
+            assert list(only) == [name]
+            assert only[name].format_help() == sub.format_help()
+        for first in (None, "bogus", "--help"):
+            assert list(self._commands(_build_parser(first))) == list(full)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bogus"]],
+                             ids=["help", "unknown"])
+    def test_top_level_text_names_every_command(self, capsys, argv):
+        try:
+            run(argv)
+        except SystemExit:
+            pass
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        for name in self._commands(_build_parser()):
+            assert name in text
 
 
 class TestExitCodes:

@@ -278,7 +278,7 @@ def test_window_is_the_box_filtered_to_the_threshold(mode, x, scale,
                                                      threshold):
     ib = minima.IntegerBody(GaugeBody(mode, x), scale)
     bound = math.ceil(ib.reach(threshold))
-    window = minima._enumerate_within(ib, threshold)
+    window = minima._enumerate_within(ib, math.floor(threshold * ib.den))
     box = minima._enumerate_box(ib, bound)
     # the box holds one vector of each +- pair, each with its exact gauge
     assert len(box) == ((2 * bound + 1) ** len(ib.rows) - 1) // 2
@@ -419,21 +419,40 @@ def _small_bodies(draw):
     return GaugeBody(mode, x), F(draw(st.integers(low, high)), 2)
 
 
+def _definition_reach(body, scale, lam):
+    """The box max-norm holding every vector of gauge <= lam, restated in
+    Fractions from the body definitions."""
+    if body.mode == LINEAR_FORM:  # |v_i| <= lam, |v_0 + x.v| <= lam/E
+        return max(lam, lam / scale + lam * sum(abs(x) for x in body.x))
+    v0 = lam * scale ** len(body.x)  # |v_0| <= lam E^m
+    # |v_0 x_i - v_i| <= lam/E
+    return max(v0, lam / scale + max(abs(x) for x in body.x) * v0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_bodies())
 def test_window_minima_match_rank_oracle_in_both_modes(case):
     body, q = case
     res = successive_minima_certified(body, q)
     lam, scale = res.minima[-1], res.scale
-    # the box holding every vector of gauge <= lam, from the body definitions
-    if body.mode == LINEAR_FORM:  # |v_i| <= lam, |v_0 + x.v| <= lam/E
-        bound = max(lam, lam / scale + lam * sum(abs(x) for x in body.x))
-    else:  # |v_0| <= lam E^m, |v_0 x_i - v_i| <= lam/E
-        v0 = lam * scale ** len(body.x)
-        bound = max(v0, lam / scale + max(abs(x) for x in body.x) * v0)
-    expected = oracle_minima_values(body.mode, body.x, scale,
-                                    math.ceil(bound))
-    assert list(res.minima) == expected
+    bound = math.ceil(_definition_reach(body, scale, lam))
+    assert res.bound == bound
+    assert list(res.minima) == oracle_minima_values(body.mode, body.x,
+                                                    scale, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]),
+       st.lists(st.fractions(-3, 3, max_denominator=40), min_size=1,
+                max_size=3),
+       st.fractions(-6, 6, max_denominator=8),
+       st.one_of(st.integers(1, 50),
+                 st.fractions(F(1, 1000), 50, max_denominator=10 ** 6)))
+def test_reach_is_the_ceiling_of_the_definition_box(mode, x, q, lam):
+    body, scale = GaugeBody(mode, tuple(x)), GAP.exp(q)
+    reach = minima.IntegerBody(body, scale).reach(lam)
+    assert type(reach) is int
+    assert reach == math.ceil(_definition_reach(body, scale, F(lam)))
 
 
 def _full_sort_selection(mode, x, scale, bound):
