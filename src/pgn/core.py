@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,11 +75,17 @@ def exact_type(value, kind: type):
 
 
 def format_rational(x: Fraction) -> str:
+    """Canonical text of x; PgnError when a part has more digits than the
+    interpreter converts to text (sys.get_int_max_str_digits())."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise PgnError(f"a value with over {sys.get_int_max_str_digits()} "
+                       f"digits cannot be written as text") from None
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -137,9 +144,13 @@ class GapFunction:
     """Dyadic-rational surrogate for ln/exp at a fixed fractional precision.
 
     ``log`` and ``exp`` return Fractions with denominator ``2**bits``; the
-    internal computation carries 32 guard bits, so the result is within
-    ``2**-bits`` of the true value.  Instances are pure and deterministic:
-    two instances with equal ``bits`` agree bit for bit.
+    internal computation carries 32 guard bits.  ``log(x)`` is within
+    ``2**-bits`` of ln x for ``2**-300 <= x <= 2**300``, and ``exp(x)``
+    within ``2**-bits`` of e**x for ``x <= 16``, refused only where e**x
+    is below ``2**-bits`` (checked against a decimal oracle at 8 and 64
+    bits).  Past ``x = 16`` the guard bits no longer cover e**x, and the
+    absolute error of ``exp`` grows with it.  Instances are pure and
+    deterministic: two instances with equal ``bits`` agree bit for bit.
     """
 
     __slots__ = ("bits", "_work", "_ln2", "_e1")

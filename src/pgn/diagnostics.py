@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .core import (GapFunction, PgnError, PiecewiseLinearMap,
                    format_rational)
-from .minima import IntegerBody, MinimaProfile
+from .minima import MinimaProfile
 
 RANGE_NOTE = ("verdicts are range-limited: they certify the tested tail, "
               "not asymptotic membership")
@@ -196,8 +196,7 @@ def profile_interpolant(profile: MinimaProfile) -> PiecewiseLinearMap:
 
 def profile_kernel_locked(profile: MinimaProfile) -> bool:
     """Whether any first-minimum witness annihilates the form exactly."""
-    is_kernel = IntegerBody(profile.body, Fraction(1)).is_kernel
-    return any(is_kernel(p.witnesses[0]) for p in profile.valid)
+    return any(profile.body.is_kernel(p.witnesses[0]) for p in profile.valid)
 
 
 def analyze_profile(profile: MinimaProfile, w, *, tail_start=None,

@@ -9,10 +9,13 @@ new coordinate, its pivot, and reads only pivots of earlier rows.  The
 linear-form body has n unit rows on v_1..v_n (p=0, d=1), then the form row
 (den, nums...) (p=1, d=den); the simultaneous-approximation body has the
 unit row on v_0 (p=-m, d=1), then m rows den*v_i - num_i*v_0 (p=1, d=den).
-The scale e^q is replaced once by the GapFunction's dyadic surrogate E,
-after which every gauge value is an exact rational.  Weights are kept over
-one common denominator, so a window point runs in integers (thresholds,
-gauges, the certificate box); a Fraction is built only for its minima.
+A GaugeBody builds these rows once, when it is created, in sparse form:
+each keeps its pivot coefficient d and only the nonzero coefficients it
+reads.  The scale e^q is replaced once by the GapFunction's dyadic
+surrogate E, after which every gauge value is an exact rational.  Weights
+are kept over one common denominator, so a window point runs in integers
+(thresholds, gauges, the certificate box); a Fraction is built only for
+its minima.
 
 One triangular scan, the max-norm form of Fincke-Pohst, serves two
 enumeration strategies with bit-identical results:
@@ -36,7 +39,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -61,8 +65,12 @@ class BoundTooSmallError(PgnError):
 
 @dataclass(frozen=True)
 class GaugeBody:
+    """A gauge body; ``rows`` holds its integer rows ``(pivot, lead, reads,
+    p)`` in pivot order, built once: ``lead`` is the pivot coefficient (the
+    row's d) and ``reads`` the nonzero ``(j, a)`` off the pivot."""
     mode: str
     x: tuple[Fraction, ...]
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (LINEAR_FORM, SIMULTANEOUS):
@@ -70,25 +78,27 @@ class GaugeBody:
         object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
         if not self.x:
             raise PgnError("the body needs at least one target coordinate")
+        den = math.lcm(*(x.denominator for x in self.x))
+        nums = [x.numerator * (den // x.denominator) for x in self.x]
+        if self.mode == LINEAR_FORM:
+            rows = [(i, 1, (), 0) for i in range(1, self.dim)]
+            rows.append((0, den, tuple((j, a) for j, a in enumerate(nums, 1)
+                                       if a), 1))
+        else:
+            rows = [(0, 1, (), -len(nums))]
+            rows += [(i, den, ((0, -a),) if a else (), 1)
+                     for i, a in enumerate(nums, 1)]
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def dim(self) -> int:
         return len(self.x) + 1
 
-
-def _rows(body: GaugeBody):
-    """The body's integer rows ``(pivot, coefficients, p, d)`` in pivot
-    order; the pivot coefficient of every row equals its d."""
-    den = math.lcm(*(x.denominator for x in body.x))
-    nums = [x.numerator * (den // x.denominator) for x in body.x]
-    dim = body.dim
-    if body.mode == LINEAR_FORM:
-        units = [(i, tuple(int(j == i) for j in range(dim)), 0, 1)
-                 for i in range(1, dim)]
-        return units + [(0, (den, *nums), 1, den)]
-    return [(0, (1,) + (0,) * len(nums), -len(nums), 1)] + [
-        (i, (-num, *(den * (j == i) for j in range(1, dim))), 1, den)
-        for i, num in enumerate(nums, 1)]
+    def is_kernel(self, vec) -> bool:
+        """True when every scaled row (p > 0) vanishes on vec, which no
+        scale changes."""
+        return not any(lead * vec[pivot] + sum(a * vec[j] for j, a in reads)
+                       for pivot, lead, reads, p in self.rows if p > 0)
 
 
 class IntegerBody:
@@ -96,32 +106,24 @@ class IntegerBody:
     weights over one common denominator: gauge(v) = numerator(v) / den,
     numerator(v) = max_r |A_r . v| * weights[r]."""
 
-    __slots__ = ("rows", "powers", "weights", "den")
+    __slots__ = ("rows", "weights", "den")
 
     def __init__(self, body: GaugeBody, scale: Fraction):
-        rows = _rows(body)
-        self.rows = tuple((pivot, coeffs) for pivot, coeffs, _, _ in rows)
-        self.powers = tuple(p for _, _, p, _ in rows)
+        self.rows = body.rows
         a, b = scale.numerator, scale.denominator
+        # per row, E^p / d as (numerator, denominator)
         exact = [(a ** p, b ** p * d) if p >= 0 else (b ** -p, a ** -p * d)
-                 for _, _, p, d in rows]  # E^p / d as (numerator, denominator)
+                 for _, d, _, p in self.rows]
         self.den = math.lcm(*(dn // math.gcd(num, dn) for num, dn in exact))
         self.weights = tuple(num * self.den // dn for num, dn in exact)
 
-    def _values(self, vec):
-        return [sum(a * c for a, c in zip(coeffs, vec))
-                for _, coeffs in self.rows]
-
     def numerator(self, vec) -> int:
-        return max(abs(v) * w for v, w in zip(self._values(vec), self.weights))
+        return max(abs(lead * vec[pivot] + sum(a * vec[j] for j, a in reads))
+                   * w for (pivot, lead, reads, _), w
+                   in zip(self.rows, self.weights))
 
     def gauge(self, vec) -> Fraction:
         return Fraction(self.numerator(vec), self.den)
-
-    def is_kernel(self, vec) -> bool:
-        """True when every scaled row (p > 0) vanishes on vec."""
-        return not any(v for v, p in zip(self._values(vec), self.powers)
-                       if p > 0)
 
     def radii(self, t: int) -> list[int]:
         """Per row, the largest |A_r . v| that gauge(v) <= t / den allows."""
@@ -133,10 +135,9 @@ class IntegerBody:
         reach of the pivots it reads, kept over one running denominator."""
         num, dnm = lam.numerator, lam.denominator
         reach, common = [0] * len(self.rows), 1
-        for (pivot, coeffs), w in zip(self.rows, self.weights):
-            spread = sum(abs(a) * reach[j] for j, a in enumerate(coeffs)
-                         if j != pivot)
-            factor = dnm * w * coeffs[pivot]
+        for (pivot, lead, reads, _), w in zip(self.rows, self.weights):
+            spread = sum(abs(a) * reach[j] for j, a in reads)
+            factor = dnm * w * lead
             reach = [r * factor for r in reach]
             reach[pivot] = num * self.den * common + spread * dnm * w
             common *= factor
@@ -162,7 +163,7 @@ def is_form_kernel(body: GaugeBody, vec) -> bool:
     """True when the scaled constraints vanish exactly on vec, so its gauge
     never grows with the parameter (the hallmark of an exactly rational
     target at desk scale)."""
-    return IntegerBody(body, Fraction(1)).is_kernel(tuple(int(c) for c in vec))
+    return body.is_kernel(tuple(int(c) for c in vec))
 
 
 class _RankTracker:
@@ -192,9 +193,21 @@ def _scan_points(ib: IntegerBody, radii, bound: int = 0) -> int:
     """Points the scan can visit, decided before any is scanned: the
     product of every level's range width, the top one halved since one
     vector of each +- pair is scanned."""
-    widths = [2 * bound + 1 if r is None else 2 * r // coeffs[pivot] + 1
-              for r, (pivot, coeffs) in zip(radii, ib.rows)]
+    widths = [2 * bound + 1 if r is None else 2 * r // lead + 1
+              for r, (_, lead, _, _) in zip(radii, ib.rows)]
     return (widths[0] + 1) // 2 * math.prod(widths[1:])
+
+
+def _shown(value) -> str:
+    """format_rational(value), or, past the interpreter's digit limit for
+    text, what the limit says of it (a count has at least limit+1 digits)."""
+    try:
+        return format_rational(value)
+    except PgnError:
+        limit = sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"10^{limit} or more"
+        return f"a rational of over {limit} digits"
 
 
 def _check_size(ib: IntegerBody, radii, bound: int = 0):
@@ -202,7 +215,7 @@ def _check_size(ib: IntegerBody, radii, bound: int = 0):
     points = _scan_points(ib, radii, bound)
     if points > _MAX_WINDOW_POINTS:
         raise PgnError(f"desk-scale limit: certifying minima at this point "
-                       f"needs a scan of {points} points")
+                       f"needs a scan of {_shown(points)} points")
 
 
 def _scan(ib: IntegerBody, radii, bound: int = 0):
@@ -214,9 +227,8 @@ def _scan(ib: IntegerBody, radii, bound: int = 0):
     within its radius given the earlier pivots, or over [-bound, bound] if
     the radius is None; while all earlier pivots are 0, only over v >= 0."""
     _check_size(ib, radii, bound)
-    levels = [(pivot, coeffs[pivot], [(j, a) for j, a in enumerate(coeffs)
-                                      if a and j != pivot], w, r)
-              for (pivot, coeffs), w, r in zip(ib.rows, ib.weights, radii)]
+    levels = [(pivot, lead, reads, w, r) for (pivot, lead, reads, _), w, r
+              in zip(ib.rows, ib.weights, radii)]
     out: list = []
     _scan_level(levels, bound, 0, [0] * len(levels), 0, True, out)
     return out
@@ -333,11 +345,11 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
     if require_certificate and not certified:
         raise BoundTooSmallError(
             f"bound {bound} cannot certify lambda_{body.dim} = "
-            f"{format_rational(minima[-1])}; need {needed}", suggested=needed)
+            f"{_shown(minima[-1])}; need {_shown(needed)}", suggested=needed)
     return MinimaResult(minima, tuple(witnesses), scale, bound, certified)
 
 
-def _cold(ib: IntegerBody, dim: int, replay=None):
+def _cold(body: GaugeBody, ib: IntegerBody, replay=None):
     """Cold doubling: scan thresholds t = den, 2 den, 4 den, ... until the
     window has full rank; the (minima, witnesses) of the last pass.
 
@@ -346,8 +358,8 @@ def _cold(ib: IntegerBody, dim: int, replay=None):
     fits), the final picks and a threshold known to fit, replays the
     schedule without scanning; each T past ``fits`` (the scan only grows
     with T) goes through the size check, which raises what it would."""
-    t = ib.den
-    jump = min(w for w, p in zip(ib.weights, ib.powers) if p > 0)
+    t, dim = ib.den, body.dim
+    jump = min(w for w, (*_, p) in zip(ib.weights, ib.rows) if p > 0)
     for _ in range(_MAX_DOUBLINGS):
         if replay is None:
             minima, witnesses = _greedy_minima(_enumerate_within(ib, t), dim)
@@ -361,7 +373,7 @@ def _cold(ib: IntegerBody, dim: int, replay=None):
             return minima, witnesses
         t *= 2
         if (len(minima) == dim - 1 and jump > t
-                and all(ib.is_kernel(v) for v in witnesses)):
+                and all(body.is_kernel(v) for v in witnesses)):
             # the witnesses span the form-kernel sublattice, and off it a
             # scaled row value is a nonzero integer: numerator >= jump
             t = jump
@@ -394,8 +406,8 @@ def successive_minima_certified(
         t = max(ib.numerator(w) for w in start)
         if _scan_points(ib, ib.radii(t)) <= _MAX_WINDOW_POINTS:
             picks = _greedy_minima(_enumerate_within(ib, t), body.dim)
-            _cold(ib, body.dim, (*picks, t))
-    nums, witnesses = picks or _cold(ib, body.dim)
+            _cold(body, ib, (*picks, t))
+    nums, witnesses = picks or _cold(body, ib)
     minima = tuple(Fraction(g, ib.den) for g in nums)
     return MinimaResult(minima, tuple(witnesses), scale,
                         ib.reach(minima[-1]), True)
@@ -477,7 +489,7 @@ def minkowski_check(profile: MinimaProfile) -> MinkowskiReport:
     rationals; log-scale margins are reported for inspection.
     """
     gap = GapFunction(profile.gap_bits)
-    exponent = sum(power for _, _, power, _ in _rows(profile.body))
+    exponent = sum(p for *_, p in profile.body.rows)
     fact = math.factorial(profile.dim)
     log_fact = gap.log(fact)
     points, violations = [], []

@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 import time
 import xml.dom.minidom
 from fractions import Fraction as F
@@ -158,6 +159,50 @@ class TestMinima:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["template"]["gap_bits"] == 96
+
+
+class TestDigitLimit:
+    """Integers past the interpreter's limit for int-to-text conversion."""
+
+    @staticmethod
+    def _error_cell(out):
+        rows = list(csv.reader(l for l in out.splitlines()
+                               if not l.startswith("#")))
+        assert len(rows) == 2 and not any(rows[1][1:-1])
+        return rows[1][-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "simultaneous", "--x", "1/2", "--grid", "10000:10000:1"],
+        ["--x", "1/3", "--grid", "10000:10000:1"],
+        ["--mode", "simultaneous", "--x", "1/2,1/3", "--grid",
+         "5000:5000:1"],
+    ], ids=["simultaneous", "linear-form", "simultaneous-m2"])
+    def test_desk_scale_count_is_an_error_row(self, capsys, argv):
+        code, out, err = cli(capsys, "minima", *argv)
+        assert code == 0 and "Traceback" not in err
+        limit = sys.get_int_max_str_digits()
+        assert self._error_cell(out) == (
+            f"desk-scale limit: certifying minima at this point needs a "
+            f"scan of 10^{limit} or more points")
+
+    def test_box_certificate_is_an_error_row(self, capsys):
+        code, out, err = cli(capsys, "minima", "--x", "1/3", "--grid",
+                             "10000:10000:1", "--bound", "5")
+        assert code == 0 and "Traceback" not in err
+        limit = sys.get_int_max_str_digits()
+        assert self._error_cell(out) == (
+            f"bound 5 cannot certify lambda_2 = a rational of over {limit} "
+            f"digits; need 10^{limit} or more")
+
+    def test_build_refuses_an_unwritable_value(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        code, stdout, err = cli(capsys, "build", "--n", "2", "--w", "3",
+                                "--alpha", "1", "--beta", "1/2", "--q1",
+                                "1e4299", "--blocks", "12", "--out", str(out))
+        limit = sys.get_int_max_str_digits()
+        assert code == 3 and not stdout and not out.exists()
+        assert err == (f"error: a value with over {limit} digits cannot be "
+                       f"written as text\n")
 
 
 class TestDiagnoseCompare:

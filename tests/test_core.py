@@ -1,6 +1,7 @@
 import fractions
 import time
 from decimal import Decimal
+from math import ceil
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
 from pgn.core import _MAX_DECIMAL_EXPONENT
 from pgn.template import TemplateParams, build_block, build_system
 
-from oracles import dense_max_distance, exp_oracle, ln_oracle
+from oracles import dense_max_distance, exp_oracle, ln_oracle, to_decimal
 
 
 def simple_map():
@@ -185,6 +186,45 @@ class TestGapFunction:
     def test_underflow_raises(self):
         with pytest.raises(PgnError):
             GapFunction().exp(-200)
+
+    @staticmethod
+    def _units(value, true, bits, prec):
+        """|value - true| in units of 2**-bits."""
+        return abs(to_decimal(value, prec) - true) * 2 ** bits
+
+    @pytest.mark.parametrize("bits", [8, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(exponent=st.integers(-300, 299),
+           mantissa=st.fractions(min_value=1, max_value=2,
+                                 max_denominator=2 ** 24))
+    @example(exponent=-300, mantissa=F(1))
+    @example(exponent=299, mantissa=F(2))
+    def test_log_within_one_unit_against_decimal(self, bits, exponent,
+                                                 mantissa):
+        x = mantissa * F(2) ** exponent
+        # |ln x| < 210 has 3 integer digits; 2**-bits needs bits*0.302 more
+        prec = 3 + ceil(bits * 0.302) + 20
+        got = GapFunction(bits).log(x)
+        assert self._units(got, ln_oracle(x, prec), bits, prec) <= 1
+
+    @pytest.mark.parametrize("bits", [8, 64])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exp_within_one_unit_against_decimal(self, bits, data):
+        # from below the underflow edge, -(bits+1) ln 2, up to x = 16
+        low = F(-7 * (bits + 2), 10)
+        x = data.draw(st.one_of(
+            st.fractions(min_value=low, max_value=16, max_denominator=10 ** 4),
+            st.sampled_from([low, F(-(bits + 1) * 693, 1000), F(0), F(16)])))
+        # e**x has at most ceil(x / ln 10) integer digits
+        prec = max(ceil(x / F(23, 10)), 1) + ceil(bits * 0.302) + 20
+        true = exp_oracle(x, prec)
+        try:
+            got = GapFunction(bits).exp(x)
+        except PgnError:  # refused only where the value rounds to 0
+            assert true * 2 ** bits < 1
+            return
+        assert self._units(got, true, bits, prec) <= 1
 
 
 class TestPiecewiseLinearMap:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -506,3 +507,37 @@ class TestTieBreak:
 def test_selection_matches_full_sort(mode, dens, data, scale, bound):
     x = tuple(F(data.draw(st.integers(-d, d)), d) for d in dens)
     _assert_tie_break(mode, x, scale, bound)
+
+
+class TestSparseRows:
+    def test_rows_are_built_once_in_sparse_form(self):
+        lin = GaugeBody(LINEAR_FORM, (F(1, 2), F(0), F(-1, 3)))
+        assert lin.rows == ((1, 1, (), 0), (2, 1, (), 0), (3, 1, (), 0),
+                            (0, 6, ((1, 3), (3, -2)), 1))
+        sim = GaugeBody(SIMULTANEOUS, (F(1, 2), F(0), F(-1, 3)))
+        assert sim.rows == ((0, 1, (), -3), (1, 6, ((0, -3),), 1),
+                            (2, 6, (), 1), (3, 6, ((0, 2),), 1))
+
+    def test_rows_stay_out_of_repr_equality_and_hash(self):
+        body = GaugeBody(LINEAR_FORM, (F(1, 3),))
+        assert repr(body) == ("GaugeBody(mode='linear-form', "
+                              "x=(Fraction(1, 3),))")
+        same = GaugeBody(LINEAR_FORM, (1 / F(3),))
+        assert body == same and hash(body) == hash(same)
+        assert body != GaugeBody(SIMULTANEOUS, (F(1, 3),))
+
+    @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+    def test_wide_body_is_refused_without_quadratic_allocation(self, mode):
+        tracemalloc.start()
+        try:
+            body = GaugeBody(mode, (F(1, 3),) * 2000)
+            prof = minima_profile(body, [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at E = 1 and T = den = 3 the top range is 3 wide (2 kept of each
+        # +- pair) and each of the other 2000 ranges is 3 wide
+        assert [p.error for p in prof.points] == [
+            f"desk-scale limit: certifying minima at this point needs a "
+            f"scan of {2 * 3 ** 2000} points"]
+        assert peak < 5 * 2 ** 20
