@@ -34,9 +34,12 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_ERROR = 3
 
-# grids past these are refused before any point or scale is computed
+# grids past these are refused before any point or scale is computed, and
+# block counts past _MAX_BLOCKS before any block is built (q_k gains bits
+# every block, so build work grows about quadratically with the count)
 _MAX_GRID_POINTS = 100_000
 _MAX_GRID_Q = 10_000
+_MAX_BLOCKS = 2_000
 
 
 class UsageError(Exception):
@@ -149,6 +152,9 @@ def _breakpoints_csv(blocks) -> str:
 
 
 def _cmd_build(args) -> int:
+    if args.blocks > _MAX_BLOCKS:
+        raise UsageError(f"--blocks {args.blocks} is over the limit of "
+                         f"{_MAX_BLOCKS}")
     gap_bits = _gap_bits_default()
     gap = GapFunction(gap_bits)
     n = args.n
@@ -173,29 +179,31 @@ def _cmd_build(args) -> int:
         beta=beta if beta_mode == BETA_BOUNDED else None,
         beta_mode=beta_mode, gap_bits=gap_bits, paper_qk1=args.paper_qk1)
     built = build_system(params)
-    doc = json.dumps(built.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write_output(args.out, doc)
+    blocks, doc = built.blocks, built.to_json_dict()
+    del built  # the maps need not live on beside their document's text
+    _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.svg:
         _write_output(args.svg, _block_figure(params, 1, params.q1))
     if args.breakpoints_csv:
-        _write_output(args.breakpoints_csv, _breakpoints_csv(built.blocks))
+        _write_output(args.breakpoints_csv, _breakpoints_csv(blocks))
     return EXIT_OK
 
 
 def _load_system(text: str):
-    """Breakpoints, value rows, template parameters (None without a
-    template) and block starts q_1..q_{K+1} of a system JSON document."""
+    """The rows of a system JSON document in integer form (den, breakpoint
+    numerators, value-row numerators), its template parameters (None
+    without a template) and its block starts q_1..q_{K+1}."""
     doc = json.loads(text)
-    breakpoints, values = map_document_rows(doc)
+    rows = map_document_rows(doc)
     params, starts = system_meta(doc.get("meta", {}))
     if params is not None and params.n != int(doc["n"]):
         raise PgnError(f"template n={params.n} disagrees with n={doc['n']}")
-    return breakpoints, values, params, starts
+    return rows, params, starts
 
 
 def _cmd_validate(args) -> int:
-    breakpoints, values, _, _ = _load_system(_read_input(args.system))
-    report = validate_raw(breakpoints, values)
+    (den, breakpoints, values), _, _ = _load_system(_read_input(args.system))
+    report = validate_raw(breakpoints, values, den)
     for violation in report.violations:
         print(json.dumps(violation.to_json_dict(), sort_keys=True))
     print(json.dumps({"is_system": report.is_system,
@@ -236,8 +244,8 @@ def _cmd_minima(args) -> int:
 def _load_subject(path: str):
     text = _read_input(path)
     if text.lstrip().startswith("{"):
-        breakpoints, values, params, _ = _load_system(text)
-        return PiecewiseLinearMap(breakpoints, values), params, None
+        rows, params, _ = _load_system(text)
+        return PiecewiseLinearMap.over(*rows), params, None
     return None, None, profile_from_csv(text)
 
 
@@ -279,7 +287,7 @@ def _cmd_plot(args) -> int:
     for name, size in (("--width", args.width), ("--height", args.height)):
         if size < 1:
             raise UsageError(f"{name} must be a positive integer, not {size}")
-    breakpoints, values, params, starts = _load_system(_read_input(args.input))
+    rows, params, starts = _load_system(_read_input(args.input))
     if args.block is not None:
         if params is None:
             raise UsageError("--block needs template metadata in the file")
@@ -290,7 +298,7 @@ def _cmd_plot(args) -> int:
             width=args.width, height=args.height))
         return EXIT_OK
     guides = args.guides and params is not None
-    spec = PlotSpec(subject=PiecewiseLinearMap(breakpoints, values),
+    spec = PlotSpec(subject=PiecewiseLinearMap.over(*rows),
                     annotations=tuple((q, f"q_{k}")
                                       for k, q in enumerate(starts, 1)),
                     guide_n=params.n if guides else None,

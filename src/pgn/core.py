@@ -1,11 +1,21 @@
 """Exact-arithmetic foundations.
 
-Everything downstream works over ``fractions.Fraction``.  The only
-non-rational quantities in the whole toolkit -- natural logarithms and
-exponentials -- enter through :class:`GapFunction`, which rounds them once
-to a dyadic rational with a fixed number of fractional bits.  From that
-point on all comparisons, interpolations and envelope computations are
-exact, so validity checks carry no tolerances.
+Everything downstream works over exact rationals.  The only non-rational
+quantities in the whole toolkit -- natural logarithms and exponentials --
+enter through :class:`GapFunction`, which rounds them once to a dyadic
+rational with a fixed number of fractional bits.  From that point on all
+comparisons, interpolations and envelope computations are exact, so
+validity checks carry no tolerances.
+
+A :class:`PiecewiseLinearMap` holds integer numerators over one positive
+denominator, the lcm of its values' reduced denominators, and exposes its
+breakpoints and values as ``fractions.Fraction`` only through a read-only
+view built on first use; the builder, validator, diagnostics and renderer
+read the integers.  The document reader (``map_document_rows``) puts a
+document over one denominator too, and refuses, from the denominators
+alone and before any numerator is scaled, a document whose integer form
+would hold more than ``_WIDENING`` times the bits of its literals.  The
+command line caps ``build --blocks`` at ``cli._MAX_BLOCKS``.
 """
 
 from __future__ import annotations
@@ -14,9 +24,9 @@ import math
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 DEFAULT_GAP_BITS = 64
 
@@ -33,8 +43,12 @@ class StructureError(PgnError, ValueError):
     """Malformed raw map data (unsorted breakpoints, ragged rows, ...)."""
 
 
-# exactly the form format_rational writes, ASCII digits only
+# exactly the form format_rational writes, ASCII digits only, and a list of
+# such literals with nonzero denominators joined by NUL characters
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_CANONICAL_LIST = re.compile(
+    r"-?[0-9]+(?:/0*[1-9][0-9]*)?(?:\0-?[0-9]+(?:/0*[1-9][0-9]*)?)*")
+_LIST_CHUNK = 64
 # a decimal exponent as Fraction reads one (\d is any Unicode digit), and
 # its largest magnitude: Fraction expands 10**exponent in full
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -47,22 +61,33 @@ def parse_rational(text: str | int) -> Fraction:
 
     A string is accepted exactly when Fraction(text.strip()) accepts it
     and any decimal exponent is at most _MAX_DECIMAL_EXPONENT in absolute
-    value; the canonical form is split with int, the rest goes to
-    Fraction once its exponent is checked."""
+    value."""
+    return Fraction(*_literal(text))
+
+
+def _literal(text: str | int) -> tuple[int, int]:
+    """Numerator and positive denominator, not necessarily coprime, of a
+    literal that parse_rational accepts; PgnError for any other.  The
+    canonical form is split with int, the rest goes to Fraction once its
+    exponent is checked."""
     if type(text) is int:
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str):
         raise PgnError(f"not a rational literal: {text!r}")
     try:
         canonical = _CANONICAL.fullmatch(text)
         if canonical:
             num, den = canonical.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            den = int(den) if den else 1
+            if not den:
+                raise ZeroDivisionError
+            return int(num), den
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > _MAX_DECIMAL_EXPONENT:
             raise PgnError(f"decimal exponent of {text!r} is beyond "
                            f"+-{_MAX_DECIMAL_EXPONENT}")
-        return Fraction(text.strip())
+        x = Fraction(text.strip())
+        return x.numerator, x.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise PgnError(f"not a rational literal: {text!r}") from exc
 
@@ -79,10 +104,16 @@ def format_rational(x: Fraction) -> str:
     interpreter converts to text (sys.get_int_max_str_digits())."""
     if type(x) is not Fraction:
         x = Fraction(x)
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for den > 0, at one gcd."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise PgnError(f"a value with over {sys.get_int_max_str_digits()} "
                        f"digits cannot be written as text") from None
@@ -235,25 +266,65 @@ class GapFunction:
         return result
 
 
-def _as_fraction_tuple(row: Iterable) -> tuple[Fraction, ...]:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+# A document's integer form may hold at most _WIDENING times the bits of its
+# literals, plus _WIDENING_SLACK bits so that no small document is refused.
+_WIDENING = 4
+_WIDENING_SLACK = 1 << 16
 
 
-@dataclass(frozen=True)
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _integer_form(breakpoints, values) -> tuple[int, list[int], list[list[int]]]:
+    """The lcm of the denominators of breakpoints and value rows given as
+    rationals in any form Fraction accepts, and their numerators over it."""
+    bps = list(map(_fraction, breakpoints))
+    rows = [list(map(_fraction, row)) for row in values]
+    den = math.lcm(*(v.denominator for v in bps),
+                   *(v.denominator for row in rows for v in row))
+    return (den, [v.numerator * (den // v.denominator) for v in bps],
+            [[v.numerator * (den // v.denominator) for v in row]
+             for row in rows])
+
+
 class PiecewiseLinearMap:
     """A continuous, component-wise piecewise-linear map on a closed interval.
 
     Stores strictly increasing breakpoints and one value row per breakpoint;
-    between breakpoints each component interpolates affinely.  Immutable and
-    safe to share.
+    between breakpoints each component interpolates affinely.  Breakpoint i
+    is ``bps[i] / den`` and its row ``rows[i][d] / den``: integer numerators
+    over one positive denominator, the lcm of the reduced denominators, so
+    ``==`` and ``hash`` are value equality.  ``breakpoints`` and ``values``
+    are a read-only Fraction view, built at most once.  Immutable and safe
+    to share.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("den", "bps", "rows", "_breakpoints", "_values")
 
-    def __post_init__(self):
-        bps = _as_fraction_tuple(self.breakpoints)
-        rows = tuple(_as_fraction_tuple(r) for r in self.values)
+    def __init__(self, breakpoints, values):
+        bps = tuple(map(_fraction, breakpoints))
+        rows = tuple(tuple(map(_fraction, row)) for row in values)
+        self._set(*_integer_form(bps, rows))
+        object.__setattr__(self, "_breakpoints", bps)
+        object.__setattr__(self, "_values", rows)
+
+    @classmethod
+    def over(cls, den: int, bps, rows) -> "PiecewiseLinearMap":
+        """The map with breakpoints bps[i]/den and rows rows[i][d]/den, for
+        integers and den > 0; one gcd brings den to its least value."""
+        g = math.gcd(den, *bps, *chain.from_iterable(rows))
+        if g != 1:
+            den //= g
+            bps = [b // g for b in bps]
+            rows = [[v // g for v in row] for row in rows]
+        m = cls.__new__(cls)
+        m._set(den, bps, rows)
+        object.__setattr__(m, "_breakpoints", None)
+        object.__setattr__(m, "_values", None)
+        return m
+
+    def _set(self, den: int, bps, rows):
         if len(bps) < 2:
             raise StructureError("a map needs at least two breakpoints")
         if len(rows) != len(bps):
@@ -267,45 +338,89 @@ class PiecewiseLinearMap:
         for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise StructureError(
-                    f"breakpoints must be strictly increasing ({a} then {b})")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", rows)
+                    f"breakpoints must be strictly increasing "
+                    f"({Fraction(a, den)} then {Fraction(b, den)})")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "bps", tuple(bps))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den, self.bps, self.rows) \
+            == (other.den, other.bps, other.rows)
+
+    def __hash__(self):
+        return hash((self.den, self.bps, self.rows))
+
+    def __reduce__(self):  # copy and pickle, past the immutability guard
+        return type(self).over, (self.den, self.bps, self.rows)
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(breakpoints={self.breakpoints!r}, "
+                f"values={self.values!r})")
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        if self._breakpoints is None:
+            object.__setattr__(self, "_breakpoints", tuple(
+                Fraction(b, self.den) for b in self.bps))
+        return self._breakpoints
+
+    @property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._values is None:
+            den = self.den
+            object.__setattr__(self, "_values", tuple(
+                tuple(Fraction(v, den) for v in row) for row in self.rows))
+        return self._values
 
     @property
     def n_components(self) -> int:
-        return len(self.values[0])
+        return len(self.rows[0])
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
+        return Fraction(self.bps[0], self.den), Fraction(self.bps[-1], self.den)
+
+    def row_at(self, x: int, b: int) -> tuple[tuple[int, ...], int]:
+        """Numerators and one positive denominator of the row at q = x/b
+        (b > 0), for q inside the domain."""
+        den, bps = self.den, self.bps
+        s = x * den  # q = s / (b * den)
+        i = bisect_right(bps, s // b) - 1
+        if i == len(bps) - 1 or bps[i] * b == s:
+            return self.rows[i], den
+        q0, dq = bps[i], bps[i + 1] - bps[i]
+        t, scale = s - q0 * b, b * dq  # q sits t/scale of the way along
+        return tuple(a * scale + (c - a) * t for a, c
+                     in zip(self.rows[i], self.rows[i + 1])), den * scale
 
     def evaluate(self, q) -> tuple[Fraction, ...]:
         q = Fraction(q)
-        lo, hi = self.domain
-        if q < lo or q > hi:
+        x, b = q.numerator, q.denominator
+        if x * self.den < self.bps[0] * b or x * self.den > self.bps[-1] * b:
+            lo, hi = self.domain
             raise DomainError(f"q={q} outside the map domain [{lo}, {hi}]")
-        i = bisect_right(self.breakpoints, q) - 1
-        if i == len(self.breakpoints) - 1:
-            return self.values[-1]
-        q0, q1 = self.breakpoints[i], self.breakpoints[i + 1]
-        if q == q0:
-            return self.values[i]
-        t = (q - q0) / (q1 - q0)
-        row0, row1 = self.values[i], self.values[i + 1]
-        return tuple(a + (b - a) * t for a, b in zip(row0, row1))
+        row, den = self.row_at(x, b)
+        return tuple(Fraction(v, den) for v in row)
 
     def segment_slopes(self, i: int) -> tuple[Fraction, ...]:
         """Slope vector on the open segment between breakpoints i and i+1."""
-        dq = self.breakpoints[i + 1] - self.breakpoints[i]
-        return tuple((b - a) / dq
-                     for a, b in zip(self.values[i], self.values[i + 1]))
+        dq = self.bps[i + 1] - self.bps[i]
+        return tuple(Fraction(b - a, dq)
+                     for a, b in zip(self.rows[i], self.rows[i + 1]))
 
     def to_json_dict(self, meta: dict | None = None) -> dict:
+        den = self.den
         doc = {
             "n": self.n_components - 1,
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "values": [[format_rational(v) for v in row]
-                       for row in self.values],
+            "breakpoints": [_ratio_text(b, den) for b in self.bps],
+            "values": [[_ratio_text(v, den) for v in row]
+                       for row in self.rows],
         }
         if meta is not None:
             doc["meta"] = meta
@@ -313,25 +428,74 @@ class PiecewiseLinearMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PiecewiseLinearMap":
-        return cls(*map_document_rows(doc))
+        return cls.over(*map_document_rows(doc))
 
 
-def map_document_rows(doc) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Raw breakpoints and value rows of a map document, every row checked
-    against the declared n; repeated breakpoints are left to the caller."""
+def _literals(texts: list) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of _literal of each text.  Canonical
+    literals are checked by one match per _LIST_CHUNK of them (the match
+    keeps state for each literal it repeats over) and split with int."""
+    nums: list[int] = []
+    dens: list[int] = []
+    seen = {"": 1}  # one int per distinct denominator text
+    try:
+        for i in range(0, len(texts), _LIST_CHUNK):
+            chunk = texts[i:i + _LIST_CHUNK]
+            if not _CANONICAL_LIST.fullmatch("\0".join(chunk)):
+                break
+            parts = [t.partition("/") for t in chunk]
+            nums += [int(a) for a, _, _ in parts]
+            dens += [seen.get(b) or seen.setdefault(b, int(b))
+                     for _, _, b in parts]
+        else:
+            return nums, dens
+    except (TypeError, ValueError):
+        pass  # a literal that is no string, or too long: _literal says which
+    pairs = [_literal(t) for t in texts]
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
+    """A map document's rows in integer form: one positive denominator,
+    breakpoint numerators and value-row numerators, every row checked
+    against the declared n; repeated breakpoints are left to the caller.
+
+    Whether the common denominator would widen the literals past
+    _WIDENING times their bits is decided from the denominators alone,
+    before any numerator is scaled."""
     if not isinstance(doc, dict):
         raise StructureError("a map document must be a JSON object")
     try:
         n = exact_type(doc["n"], int)
-        bps = [parse_rational(b) for b in doc["breakpoints"]]
-        rows = [[parse_rational(v) for v in row] for row in doc["values"]]
+        bps = list(doc["breakpoints"])
+        rows = [list(row) for row in doc["values"]]
+        nums, dens = _literals(bps + [v for row in rows for v in row])
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed map document: {exc}") from exc
     for row in rows:
         if len(row) != n + 1:
             raise StructureError(
                 f"document says n={n} but rows have {len(row)} components")
-    return bps, rows
+    # each scaled numerator a*(L/b) has at most bits(a) + bits(L) - bits(b)
+    # + 1 bits, so the integer form fits when bits(L) stays within reach
+    num_bits = sum(map(int.bit_length, nums))
+    den_bits = sum(map(int.bit_length, dens))
+    budget = _WIDENING * (num_bits + den_bits) + _WIDENING_SLACK
+    reach = (budget - num_bits + den_bits) // max(len(nums), 1) - 1
+    den, distinct = 1, set(dens)
+    for d in distinct:
+        den = math.lcm(den, d)
+        if den.bit_length() > reach:
+            raise StructureError(
+                f"map document refused: its values need a common "
+                f"denominator of over {reach} bits, which would widen its "
+                f"{num_bits + den_bits} bits of literals more than "
+                f"{_WIDENING} times")
+    scale = {d: den // d for d in distinct}
+    scaled = [a * scale[b] for a, b in zip(nums, dens)]
+    first, width = len(bps), n + 1
+    return den, scaled[:first], [scaled[i:i + width]
+                                 for i in range(first, len(scaled), width)]
 
 
 def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,
@@ -356,16 +520,20 @@ def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,
         lo, hi = lo2, hi2
     if lo > hi:
         raise DomainError("the maps' domains are disjoint")
-    points = {lo, hi}
+    den = math.lcm(a.den, b.den, lo.denominator, hi.denominator)
+    lo_n, hi_n = lo.numerator * (den // lo.denominator), \
+        hi.numerator * (den // hi.denominator)
+    points = {lo_n, hi_n}
     for m in (a, b):
-        points.update(p for p in m.breakpoints if lo <= p <= hi)
-    best = Fraction(0)
-    for q in sorted(points):
-        va, vb = a.evaluate(q), b.evaluate(q)
-        d = max(abs(x - y) for x, y in zip(va, vb))
-        if d > best:
-            best = d
-    return best
+        k = den // m.den
+        points.update(p for p in (v * k for v in m.bps) if lo_n <= p <= hi_n)
+    best, best_den = 0, 1
+    for x in points:
+        (va, da), (vb, db) = a.row_at(x, den), b.row_at(x, den)
+        d = max(abs(u * db - v * da) for u, v in zip(va, vb))
+        if d * best_den > best * da * db:
+            best, best_den = d, da * db
+    return Fraction(best, best_den)
 
 
 def concatenate(maps: Sequence[PiecewiseLinearMap],
@@ -380,20 +548,30 @@ def concatenate(maps: Sequence[PiecewiseLinearMap],
         raise PgnError("nothing to concatenate")
     if junction not in ("equal", "right"):
         raise PgnError(f"unknown junction policy {junction!r}")
-    bps: list[Fraction] = list(maps[0].breakpoints)
-    rows: list[tuple[Fraction, ...]] = list(maps[0].values)
-    for m in maps[1:]:
-        if m.n_components != len(rows[0]):
-            raise DomainError("component counts differ across pieces")
-        if m.breakpoints[0] != bps[-1]:
-            raise DomainError(
-                f"pieces do not abut: {bps[-1]} then {m.breakpoints[0]}")
-        if junction == "equal" and m.values[0] != rows[-1]:
-            raise PgnError(
-                f"value mismatch at shared breakpoint {bps[-1]}: "
-                f"{rows[-1]} vs {m.values[0]}")
-        if junction == "right":
-            rows[-1] = m.values[0]
-        bps.extend(m.breakpoints[1:])
-        rows.extend(m.values[1:])
-    return PiecewiseLinearMap(tuple(bps), tuple(rows))
+    den = math.lcm(*(m.den for m in maps))
+    bps: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    width = maps[0].n_components
+    for m in maps:
+        k = den // m.den
+        m_bps = [b * k for b in m.bps] if k != 1 else m.bps
+        m_rows = [tuple(v * k for v in row) for row in m.rows] \
+            if k != 1 else m.rows
+        if bps:
+            if m.n_components != width:
+                raise DomainError("component counts differ across pieces")
+            if m_bps[0] != bps[-1]:
+                raise DomainError(
+                    f"pieces do not abut: {Fraction(bps[-1], den)} then "
+                    f"{Fraction(m_bps[0], den)}")
+            if junction == "equal" and m_rows[0] != rows[-1]:
+                raise PgnError(
+                    f"value mismatch at shared breakpoint "
+                    f"{Fraction(bps[-1], den)}: "
+                    f"{tuple(Fraction(v, den) for v in rows[-1])} vs "
+                    f"{tuple(Fraction(v, den) for v in m_rows[0])}")
+            rows[-1] = m_rows[0]
+            m_bps, m_rows = m_bps[1:], m_rows[1:]
+        bps.extend(m_bps)
+        rows.extend(m_rows)
+    return PiecewiseLinearMap.over(den, bps, rows)

@@ -10,6 +10,7 @@ never asymptotics.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,9 +70,9 @@ class DiagnosticsReport:
         }
 
 
-def _last_local_min(points: list[tuple[Fraction, Fraction]]
-                    ) -> tuple[Fraction, Fraction] | None:
-    """Last local minimum of a sampled sequence of (q, value) pairs.
+def _last_local_min(points: list[tuple], less=operator.lt) -> tuple | None:
+    """Last local minimum of a sampled sequence of (q, value) pairs, the
+    values ordered by ``less``.
 
     The right endpoint qualifies when the sequence descends into it; this
     tracks the limit-inferior structure of tails that end mid-descent
@@ -80,12 +81,17 @@ def _last_local_min(points: list[tuple[Fraction, Fraction]]
     if len(points) < 2:
         return points[0] if points else None
     vals = [v for _, v in points]
-    if vals[-1] < vals[-2]:
+    if less(vals[-1], vals[-2]):
         return points[-1]
     for i in range(len(vals) - 2, 0, -1):
-        if vals[i] < vals[i + 1] and vals[i] <= vals[i - 1]:
+        if less(vals[i], vals[i + 1]) and not less(vals[i - 1], vals[i]):
             return points[i]
     return points[0]
+
+
+def _ratio_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """p/q < p'/q' for (p, q) pairs with q, q' > 0."""
+    return a[0] * b[1] < b[0] * a[1]
 
 
 def analyze(subject: PiecewiseLinearMap, n: int, w, *,
@@ -98,14 +104,20 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
     The functionals are piecewise linear (the ratio monotone per segment),
     so extrema over [tail_start, end] are attained at breakpoints or at
     tail_start itself; only tail_start is interpolated, the breakpoints
-    after it are read off their rows.
+    after it are read off their rows.  q and P_1 are numerators over one
+    denominator c; the margins are compared as q - (n+1) P_1 and
+    q wd - (wn + wd) P_1 for w = wn/wd, their values times (n+1) c and
+    (wn + wd) c, which are positive for w > -1, and the ratio by
+    cross-multiplication.
     """
     w = Fraction(w)
+    if w <= -1:
+        raise PgnError(f"w must exceed -1, got {format_rational(w)}")
     gap = gap or GapFunction()
     lo, hi = subject.domain
-    bps, rows = subject.breakpoints, subject.values
+    den, bps, rows = subject.den, subject.bps, subject.rows
     if tail_start is None:
-        tail_start = bps[2] if len(bps) >= 3 else bps[0]
+        tail_start = Fraction(bps[2] if len(bps) >= 3 else bps[0], den)
     tail_start = Fraction(tail_start)
     if tail_start < lo or tail_start > hi:
         raise PgnError(
@@ -113,30 +125,37 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
     if tail_start == hi:
         raise PgnError("empty tail: tail start equals the domain end")
 
-    after = bisect_right(bps, tail_start)
-    points = [(tail_start, subject.evaluate(tail_start)[0])]
-    points += ((q, row[0]) for q, row in zip(bps[after:], rows[after:]))
-    di: list[tuple[Fraction, Fraction]] = []
-    dw: list[tuple[Fraction, Fraction]] = []
-    ratio: list[tuple[Fraction, Fraction]] = []
+    x, b = tail_start.numerator, tail_start.denominator
+    after = bisect_right(bps, x * den // b)
+    row, c = subject.row_at(x, b)
+    k = c // den  # 1 when tail_start is a breakpoint
+    qs = [x * (c // b)] + [q * k for q in bps[after:]]
+    ps = [row[0]] + [r[0] * k for r in rows[after:]]
     notes = [RANGE_NOTE]
-    for q, p1 in points:
-        di.append((q, q / (n + 1) - p1))
-        dw.append((q, q / (w + 1) - p1))
-        if q > 0:
-            ratio.append((q, p1 / q))
+    wn, wd = w.numerator, w.denominator
+    di = [q - (n + 1) * p for q, p in zip(qs, ps)]
+    dw = [q * wd - (wn + wd) * p for q, p in zip(qs, ps)]
+    ratio = [(j, (ps[j], qs[j])) for j in range(len(qs)) if qs[j] > 0]
     if not ratio:
         notes.append("ratio undefined on the tail (no positive q)")
 
-    di_min_q, di_min = min(di, key=lambda t: (t[1], t[0]))
-    di_max_q, di_max = max(di, key=lambda t: (t[1], -t[0]))
-    dw_max_q, dw_max = max(dw, key=lambda t: (t[1], -t[0]))
+    def at(j: int) -> Fraction:
+        return Fraction(qs[j], c)
 
-    ratio_points = [(v, q) for q, v in ratio]
-    if ratio_points:
-        r_glob, r_glob_q = min(ratio_points)
-        last = _last_local_min([(q, v) for q, v in ratio])
-        r_last_q, r_last = last
+    i_min = min(range(len(di)), key=di.__getitem__)
+    i_max = max(range(len(di)), key=di.__getitem__)
+    i_dw = max(range(len(dw)), key=dw.__getitem__)
+    di_min, di_max = (Fraction(di[i], (n + 1) * c) for i in (i_min, i_max))
+    dw_max = Fraction(dw[i_dw], (wn + wd) * c)
+
+    if ratio:
+        glob = ratio[0]
+        for point in ratio:
+            if _ratio_less(point[1], glob[1]):
+                glob = point
+        last = _last_local_min(ratio, _ratio_less)
+        r_glob, r_glob_q = Fraction(*glob[1]), at(glob[0])
+        r_last, r_last_q = Fraction(*last[1]), at(last[0])
     else:
         r_glob = r_glob_q = r_last = r_last_q = None
 
@@ -173,9 +192,9 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
 
     return DiagnosticsReport(
         tested_range=(tail_start, hi),
-        di_margin_min=di_min, di_margin_at=di_min_q,
-        di_margin_max=di_max, di_margin_max_at=di_max_q,
-        dw_margin_max=dw_max, dw_margin_at=dw_max_q,
+        di_margin_min=di_min, di_margin_at=at(i_min),
+        di_margin_max=di_max, di_margin_max_at=at(i_max),
+        dw_margin_max=dw_max, dw_margin_at=at(i_dw),
         ratio_min=r_last, ratio_min_at=r_last_q,
         ratio_min_global=r_glob, ratio_min_global_at=r_glob_q,
         omega_estimate=omega, omega_is_infinite=infinite,

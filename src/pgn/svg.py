@@ -31,33 +31,21 @@ class PlotSpec:
 
 def _axis(base: int, lo: Fraction, hi: Fraction, span: int):
     """v -> base + (v - lo)*span/(hi - lo) as a decimal string with 3
-    places, rounded half to even.  With v = a/b the milli-units are
+    places, rounded half to even; the coordinate takes a Fraction v, or
+    integers a and b > 0 for v = a/b.  The milli-units are
     (a*p + b*r) / (b*s) for integers fixed once per axis, so a coordinate
     costs a few integer products and one division."""
     k = Fraction(1000 * span) / (hi - lo)
     p, s = lo.denominator * k.numerator, lo.denominator * k.denominator
     r = 1000 * base * s - lo.numerator * k.numerator
 
-    def coordinate(v: Fraction) -> str:
-        b = v.denominator
-        milli = _round_half_even(v.numerator * p + b * r, b * s)
+    def coordinate(v, b: int | None = None) -> str:
+        if b is None:
+            v, b = v.numerator, v.denominator
+        milli = _round_half_even(v * p + b * r, b * s)
         whole, frac = divmod(abs(milli), 1000)
         return f"{'-' if milli < 0 else ''}{whole}.{frac:03d}"
     return coordinate
-
-
-def _extremes(vals: list[Fraction]) -> tuple[Fraction, Fraction]:
-    """min(vals) and max(vals) by integer cross-multiplication, as in
-    _axis: a/b < c/d exactly when a*d < c*b, denominators being positive."""
-    lo = hi = vals[0]
-    lo_n, lo_d = hi_n, hi_d = lo.numerator, lo.denominator
-    for v in vals:
-        n, d = v.numerator, v.denominator
-        if n * lo_d < lo_n * d:
-            lo, lo_n, lo_d = v, n, d
-        elif n * hi_d > hi_n * d:
-            hi, hi_n, hi_d = v, n, d
-    return lo, hi
 
 
 _MARGIN, _LABEL_BAND = 50, 34
@@ -68,10 +56,12 @@ class _Frame:
         maps = (spec.subject, *spec.overlays)
         self.q_lo = min(m.domain[0] for m in maps)
         self.q_hi = max(m.domain[1] for m in maps)
-        vals = [v for m in maps for row in m.values for v in row]
+        # every value of one map is a numerator over its den
+        vals = [Fraction(pick(pick(row) for row in m.rows), m.den)
+                for m in maps for pick in (min, max)]
         vals += [q / (Fraction(guide) + 1) for q in (self.q_lo, self.q_hi)
                  for guide in (spec.guide_n, spec.guide_w) if guide is not None]
-        lo, hi = _extremes(vals)
+        lo, hi = min(vals), max(vals)
         if lo == hi:
             lo, hi = lo - 1, hi + 1
         pad = (hi - lo) / 12
@@ -84,7 +74,9 @@ class _Frame:
 
 def _polyline(y, xs: list[str], m: PiecewiseLinearMap,
               component: int, cls: str) -> str:
-    pts = " ".join(f"{x},{y(row[component])}" for x, row in zip(xs, m.values))
+    den = m.den
+    pts = " ".join(f"{x},{y(row[component], den)}"
+                   for x, row in zip(xs, m.rows))
     return f'<polyline class="{cls}" points="{pts}"/>'
 
 
@@ -135,7 +127,7 @@ def render_svg(spec: PlotSpec) -> str:
 
     layers = [(m, "overlay") for m in spec.overlays]
     for m, cls in (*layers, (spec.subject, "component")):
-        xs = [frame.x(q) for q in m.breakpoints]
+        xs = [frame.x(q, m.den) for q in m.bps]
         for d in range(m.n_components):
             parts.append(_polyline(frame.y, xs, m, d, cls))
 

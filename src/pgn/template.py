@@ -16,6 +16,7 @@ validator can exhibit its inconsistency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,48 +170,69 @@ def derive_block_breakpoints(params: TemplateParams, k: int, q_k,
                              gap: GapFunction | None = None) -> BlockBreakpoints:
     """All breakpoints of block k starting at q_k, with the full ordering
     asserted; raises TemplateOrderingError naming the violated inequality."""
-    q_k = Fraction(q_k)
-    gap = gap or params.gap()
+    return _derive(params, k, Fraction(q_k), gap or params.gap())[0]
+
+
+def _derive(params: TemplateParams, k: int, q_k: Fraction, gap: GapFunction
+            ) -> tuple[BlockBreakpoints, int, dict[str, int]]:
+    """derive_block_breakpoints, with the numerators of q_k, r_k, s_k^m,
+    s_k, s_k^M, t_k, u_k, p_k, q_{k+1}, alpha and beta_k over one
+    denominator D, keyed q, r, sm, s, sM, t, u, p, q1, a, b.  D is the lcm
+    of the denominators of q_k, alpha, log(q_k) and beta_k times delta's
+    and w's denominators, n and n+1, so every formula divides exactly."""
     n, w, alpha, delta = params.n, params.w, params.alpha, params.delta
 
-    def fail(ineq: str, lhs: Fraction, rhs: Fraction):
+    def fail(ineq: str, lhs, rhs):
         raise TemplateOrderingError(
             k, ineq,
             f"block {k}: required {ineq} but got "
-            f"{format_rational(lhs)} vs {format_rational(rhs)}; "
+            f"{format_rational(Fraction(lhs, den))} vs "
+            f"{format_rational(Fraction(rhs, den))}; "
             "q_1 too small for these parameters")
 
+    den = 1  # until the common denominator is known, fail takes Fractions
     if q_k <= 1:
-        fail("q_k > 1", q_k, Fraction(1))
+        fail("q_k > 1", q_k, 1)
     g = gap.log(q_k)
     if g <= 0:
-        fail("log(q_k) > 0", g, Fraction(0))
+        fail("log(q_k) > 0", g, 0)
     beta_k = beta_for_block(params, q_k, gap)
-    r_k = q_k + (n * n - 1) * alpha
-    s_k_m = r_k + g
-    s_k_M = r_k + n * g
-    s_k = delta * s_k_m + (1 - delta) * s_k_M
-    t_k = s_k + (n - 1) * (s_k - r_k)
-    p_k = q_k * (w + 1) / (n + 1) - (w + 1) * (alpha - beta_k)
-    u_k = p_k - (n + 1) * alpha
-    q_k1 = (printed_step if params.paper_qk1 else closure_step)(params, q_k, beta_k)
+    wn, wd = w.numerator, w.denominator
+    dn, dd = delta.numerator, delta.denominator
+    den = math.lcm(q_k.denominator, alpha.denominator, g.denominator,
+                   beta_k.denominator) * dd * wd * n * (n + 1)
+    q, a, g, b = (v.numerator * (den // v.denominator)
+                  for v in (q_k, alpha, g, beta_k))
+    r = q + (n * n - 1) * a
+    sm, sM = r + g, r + n * g
+    s = sM - dn * (n - 1) * g // dd  # delta*sm + (1 - delta)*sM
+    t = s + (n - 1) * (s - r)
+    p = (wn + wd) * (q // (n + 1) - a + b) // wd
+    u = p - (n + 1) * a
+    if params.paper_qk1:
+        q1 = (wn * q + (wn - wd) * (n + 1) * (a - b)) // (wd * n)
+    else:
+        q1 = (wn * q - (wn + wd) * (n + 1) * (a - b)) // (wd * n)
 
-    if not t_k < u_k:
-        fail("t_k < u_k", t_k, u_k)
-    if not p_k < q_k1:
-        fail("p_k < q_{k+1}", p_k, q_k1)
+    if not t < u:
+        fail("t_k < u_k", t, u)
+    if not p < q1:
+        fail("p_k < q_{k+1}", p, q1)
     # the remaining links hold by construction; check them anyway
-    chain = [("q_k < r_k", q_k, r_k), ("r_k < s_k^m", r_k, s_k_m),
-             ("u_k < p_k", u_k, p_k)]
+    chain = [("q_k < r_k", q, r), ("r_k < s_k^m", r, sm),
+             ("u_k < p_k", u, p)]
     for name, lo, hi in chain:
         if not lo < hi:
             fail(name, lo, hi)
-    if not (s_k_m <= s_k <= s_k_M):
-        fail("s_k^m <= s_k <= s_k^M", s_k_m, s_k_M)
-    if not s_k_M <= t_k:  # equality exactly when delta = 1
-        fail("s_k^M <= t_k", s_k_M, t_k)
-    return BlockBreakpoints(k, q_k, r_k, s_k_m, s_k, s_k_M, t_k, u_k, p_k,
-                            q_k1, beta_k)
+    if not (sm <= s <= sM):
+        fail("s_k^m <= s_k <= s_k^M", sm, sM)
+    if not sM <= t:  # equality exactly when delta = 1
+        fail("s_k^M <= t_k", sM, t)
+    nums = dict(q=q, r=r, sm=sm, s=s, sM=sM, t=t, u=u, p=p, q1=q1, a=a, b=b)
+    bp = BlockBreakpoints(k, q_k, *(Fraction(nums[key], den) for key in
+                                    ("r", "sm", "s", "sM", "t", "u", "p",
+                                     "q1")), beta_k)
+    return bp, den, nums
 
 
 # slope schedule: per segment, the 1-based index range of the moving group
@@ -221,44 +243,50 @@ def _schedule(n: int) -> list[tuple[int, int]]:
 def build_block(params: TemplateParams, k: int, q_k,
                 gap: GapFunction | None = None,
                 ) -> tuple[PiecewiseLinearMap, BlockBreakpoints]:
-    """One block on [q_k, q_{k+1}] with its junction identities verified."""
-    gap = gap or params.gap()
-    bp = derive_block_breakpoints(params, k, q_k, gap)
-    n, w, alpha = params.n, params.w, params.alpha
+    """One block on [q_k, q_{k+1}] with its junction identities verified.
 
-    low = bp.q_k / (n + 1) - alpha
-    top = bp.q_k / (n + 1) + n * alpha
-    points = [bp.q_k, bp.r_k, bp.s_k, bp.t_k, bp.u_k, bp.p_k, bp.q_k1]
-    rows: list[list[Fraction]] = [[low] * n + [top]]
-    for (m1, m2), a, b in zip(_schedule(n), points, points[1:]):
-        gain = (b - a) / Fraction(m2 - m1 + 1)
+    The rows are numerators over the breakpoints' denominator times n-1,
+    so that each gain (b - a)/size divides exactly."""
+    bp, den, nums = _derive(params, k, Fraction(q_k), gap or params.gap())
+    n, w = params.n, params.w
+    wn, wd = w.numerator, w.denominator
+    den *= n - 1
+    q, r, s, t, u, p, q1, a, b = (nums[key] * (n - 1) for key in
+                                  ("q", "r", "s", "t", "u", "p", "q1", "a",
+                                   "b"))
+    points = [q, r, s, t, u, p, q1]
+    low = q // (n + 1) - a
+    rows: list[list[int]] = [[low] * n + [low + (n + 1) * a]]
+    for (m1, m2), lo, hi in zip(_schedule(n), points, points[1:]):
+        gain = (hi - lo) // (m2 - m1 + 1)
         row = list(rows[-1])
         for d in range(m1 - 1, m2):
             row[d] += gain
         rows.append(row)
 
-    def require(name: str, lhs: Fraction, rhs: Fraction):
-        if lhs != rhs:
+    def require(name: str, lhs: int, rhs: int, scale: int = 1):
+        """lhs == rhs / scale, for numerators over den"""
+        if lhs * scale != rhs:
             raise TemplateInternalError(
                 f"block {k}: junction identity {name} failed: "
-                f"{format_rational(lhs)} != {format_rational(rhs)}")
+                f"{format_rational(Fraction(lhs, den))} != "
+                f"{format_rational(Fraction(rhs, den * scale))}")
 
     require("P_2(r_k) = P_{n+1}(r_k)", rows[1][1], rows[1][n])
     require("P_{n+1}(t_k) = P_2(t_k)", rows[3][n], rows[3][1])
     require("P_{n+1}(p_k) - P_n(p_k) = (n+1)alpha",
-            rows[5][n] - rows[5][n - 1], (n + 1) * alpha)
+            rows[5][n] - rows[5][n - 1], (n + 1) * a)
     require("P_1(p_k) = p_k/(w+1) - beta_k",
-            rows[5][0], bp.p_k / (w + 1) - bp.beta_k)
+            rows[5][0], p * wd - (wn + wd) * b, wn + wd)
     for point, row in zip(points, rows):
         require("sum = q", sum(row), point)
     if not params.paper_qk1:
-        end_low = bp.q_k1 / (n + 1) - alpha
-        end_top = bp.q_k1 / (n + 1) + n * alpha
+        end_low = q1 // (n + 1) - a
         for d in range(n):
             require("P_d(q_{k+1}) = q_{k+1}/(n+1) - alpha", rows[6][d], end_low)
-        require("P_{n+1}(q_{k+1}) = q_{k+1}/(n+1) + n*alpha", rows[6][n], end_top)
-    pl = PiecewiseLinearMap(tuple(points), tuple(tuple(r) for r in rows))
-    return pl, bp
+        require("P_{n+1}(q_{k+1}) = q_{k+1}/(n+1) + n*alpha", rows[6][n],
+                end_low + (n + 1) * a)
+    return PiecewiseLinearMap.over(den, points, rows), bp
 
 
 @dataclass(frozen=True)

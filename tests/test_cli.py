@@ -7,6 +7,7 @@ import re
 import shlex
 import sys
 import time
+import tracemalloc
 import xml.dom.minidom
 from fractions import Fraction as F
 
@@ -269,6 +270,21 @@ class TestDiagnoseCompare:
         assert report["within_rn"] is True
 
 
+    @pytest.mark.parametrize("w", ["-1", "-3/2", "-7"])
+    @pytest.mark.parametrize("make", [
+        BUILD + ["--out"],
+        ["minima", "--x", "2/3", "--grid", "0:4:1", "--out"]],
+        ids=["system", "profile"])
+    def test_w_at_or_below_minus_one_exits_3(self, capsys, tmp_path, make,
+                                             w):
+        doc = tmp_path / "doc"
+        assert cli(capsys, *make, str(doc))[0] == 0
+        code, out, err = cli(capsys, "diagnose", "--input", str(doc),
+                             "--w", w)
+        assert code == 3 and not out
+        assert err == f"error: w must exceed -1, got {w}\n"
+
+
 class TestPlot:
     def test_whole_system_plot(self, capsys, tmp_path):
         system = tmp_path / "system.json"
@@ -448,6 +464,18 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("blocks", ["2001", "100000000"])
+    def test_huge_block_count_refused_before_building(self, capsys,
+                                                      tmp_path, blocks):
+        out = tmp_path / "system.json"
+        start = time.perf_counter()
+        code, stdout, err = cli(capsys, *BUILD[:-1], blocks,
+                                "--out", str(out))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not stdout and not out.exists()
+        assert err == (f"usage error: --blocks {blocks} is over the limit "
+                       f"of 2000\n")
+
     @pytest.mark.parametrize("option, size", [
         ("--width", "-7"), ("--width", "0"), ("--height", "-1"),
         ("--height", "0")])
@@ -578,6 +606,41 @@ class TestSystemDocuments:
         assert code == 3 and not out
         assert err.startswith("error: malformed template meta: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_widening_document_is_refused_under_a_small_peak(self, capsys,
+                                                             tmp_path):
+        # 2,000 values over the first 2,000 primes: one common denominator
+        # of about 27,000 bits, so the integer form would hold about 10 MB
+        primes, k = [], 2
+        while len(primes) < 2000:
+            if all(k % p for p in primes if p * p <= k):
+                primes.append(k)
+            k += 1
+        doc = {"n": 1, "breakpoints": list(range(1000)),
+               "values": [[f"1/{primes[2 * i]}", f"1/{primes[2 * i + 1]}"]
+                          for i in range(1000)]}
+        path = self._write(tmp_path, doc)
+        for argv in (["validate", path], ["plot", "--input", path],
+                     ["diagnose", "--w", "3", "--input", path]):
+            tracemalloc.start()
+            try:
+                code, out, err = cli(capsys, *argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 3 and not out
+            assert err.startswith("error: map document refused: its values "
+                                  "need a common denominator of over ")
+            assert len(err.strip().splitlines()) == 1
+            assert peak < 2 * 2 ** 20
+
+    def test_built_systems_pass_the_widening_check(self, capsys, tmp_path):
+        out = tmp_path / "system.json"
+        cli(capsys, "build", "--n", "4", "--w", "11/2", "--alpha", "1",
+            "--beta-mode", "log", "--q1", "1000", "--blocks", "80",
+            "--out", str(out))
+        code, stdout, _ = cli(capsys, "validate", str(out))
+        assert code == 0 and json.loads(stdout)["is_system"] is True
 
     def test_repeated_breakpoint_is_a_continuity_violation(self, capsys,
                                                            tmp_path):

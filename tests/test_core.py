@@ -1,4 +1,6 @@
+import copy
 import fractions
+import pickle
 import time
 from decimal import Decimal
 from math import ceil
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
                  StructureError, concatenate,
                  format_rational, parse_rational, sup_distance)
-from pgn.core import _MAX_DECIMAL_EXPONENT
+from pgn.core import _MAX_DECIMAL_EXPONENT, _literals, map_document_rows
 from pgn.template import TemplateParams, build_block, build_system
 
 from oracles import dense_max_distance, exp_oracle, ln_oracle, to_decimal
@@ -280,6 +282,13 @@ class TestPiecewiseLinearMap:
         with pytest.raises(StructureError, match="malformed map document"):
             PiecewiseLinearMap.from_json_dict(doc)
 
+    def test_copy_and_pickle_keep_the_map(self):
+        m = PiecewiseLinearMap((F(-1, 3), F(7, 5)), ((F(1, 7), 9), (2, 0)))
+        for twin in (copy.copy(m), copy.deepcopy(m),
+                     pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m)
+            assert twin.values == m.values
+
     def test_json_round_trip_exact(self):
         m = PiecewiseLinearMap(
             (F(-1, 3), F(7, 5), F(2)),
@@ -288,6 +297,90 @@ class TestPiecewiseLinearMap:
         back = PiecewiseLinearMap.from_json_dict(doc)
         assert back == m
         assert doc["meta"] == {"tag": 1}
+
+
+# -- the document reader's integer form ---------------------------------------
+
+
+_ANY_LITERALS = st.one_of(
+    _canonical_literals(),
+    st.builds(lambda text, form: form(text), _canonical_literals(),
+              st.sampled_from(_FALLBACK_FORMS)),
+    st.text("0123456789-+/._ \t\n\u0661\u0662", max_size=12),
+    st.integers(-10 ** 40, 10 ** 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_LITERALS, min_size=1, max_size=6))
+@example(["2/4", "-0", " 10/4 ", "+3", "0.25", "1e-3"])
+@example([7, "-2/6", "1/3"])
+@example(["1/3", "1/00"])
+@example(["1/" + "1" * 5000])
+def test_document_reader_reads_literals_like_parse_rational(texts):
+    """Split with int or read through Fraction, every literal the reader
+    accepts has parse_rational's value, over one common denominator."""
+    try:
+        want = [parse_rational(t) for t in texts]
+    except PgnError:
+        with pytest.raises(PgnError):
+            _literals(texts)
+        with pytest.raises(PgnError):
+            map_document_rows({"n": len(texts) - 1, "breakpoints": [0],
+                               "values": [texts]})
+        return
+    nums, dens = _literals(texts)
+    assert all(d > 0 for d in dens)
+    assert [F(a, d) for a, d in zip(nums, dens)] == want
+    den, bps, rows = map_document_rows(
+        {"n": len(texts) - 1, "breakpoints": texts[:1], "values": [texts]})
+    assert F(bps[0], den) == want[0]
+    assert [F(v, den) for v in rows[0]] == want
+
+
+def _written(draw, x):
+    """x as one of the literals parse_rational accepts: canonical,
+    unreduced, padded, signed, decimal, with an exponent, or a JSON int."""
+    a, b = x.numerator, x.denominator
+    k = draw(st.integers(1, 12))
+    forms = [f"{a}/{b}", f"{a * k}/{b * k}", f" {a}/{b} "]
+    if a >= 0:
+        forms.append(f"+{a}/{b}")
+    if b == 1:
+        forms += [a, f"{a}.0", f"{a * 1000}e-3"]
+    if 10 ** 6 % b == 0:
+        forms.append(f"{a * (10 ** 6 // b)}e-6")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _maps_with_mixed_denominators(draw):
+    width = draw(st.integers(2, 4))
+    values = st.fractions(-50, 50, max_denominator=1000) \
+        | st.integers(-9, 9).map(F) | st.sampled_from([F(1, 8), F(-3, 10)])
+    steps = draw(st.lists(st.fractions(F(1, 60), 5, max_denominator=60),
+                          min_size=1, max_size=5))
+    bps = [draw(values)]
+    for step in steps:
+        bps.append(bps[-1] + step)
+    rows = [tuple(draw(values) for _ in range(width)) for _ in bps]
+    return PiecewiseLinearMap(tuple(bps), tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maps_with_mixed_denominators(), st.data())
+def test_document_round_trip_is_value_equality(m, data):
+    doc = m.to_json_dict()
+    back = PiecewiseLinearMap.from_json_dict(doc)
+    assert back == m and hash(back) == hash(m)
+    assert back.den == m.den and back.bps == m.bps and back.rows == m.rows
+    assert back.to_json_dict() == doc
+    rewritten = {"n": doc["n"],
+                 "breakpoints": [_written(data.draw, b) for b in m.breakpoints],
+                 "values": [[_written(data.draw, v) for v in row]
+                            for row in m.values]}
+    again = PiecewiseLinearMap.from_json_dict(rewritten)
+    assert again == m and hash(again) == hash(m)
+    assert again.to_json_dict() == doc
 
 
 class TestSupDistance:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pgn import PgnError, PiecewiseLinearMap, PlotSpec, render_svg, sup_distance
 from pgn.cli import run
-from pgn.svg import _axis, _extremes, _Frame
+from pgn.svg import _axis, _Frame
 from pgn.template import TemplateParams, build_block
 
 
@@ -203,15 +203,6 @@ def _reference_range(spec):
         lo, hi = lo - 1, hi + 1
     pad = (hi - lo) / 12
     return lo - pad, hi + pad
-
-
-_TIED = st.sampled_from([F(-3), F(0), F(5, 2), F(-7, 3)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_RATIONALS | _TIED, min_size=1, max_size=12))
-def test_extremes_are_min_and_max(vals):
-    assert _extremes(vals) == (min(vals), max(vals))
 
 
 _OVERLAY = PiecewiseLinearMap((F(-1), F(1)),
