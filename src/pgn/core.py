@@ -24,8 +24,9 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 DEFAULT_GAP_BITS = 64
@@ -43,12 +44,8 @@ class StructureError(PgnError, ValueError):
     """Malformed raw map data (unsorted breakpoints, ragged rows, ...)."""
 
 
-# exactly the form format_rational writes, ASCII digits only, and a list of
-# such literals with nonzero denominators joined by NUL characters
+# exactly the form format_rational writes, ASCII digits only
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_CANONICAL_LIST = re.compile(
-    r"-?[0-9]+(?:/0*[1-9][0-9]*)?(?:\0-?[0-9]+(?:/0*[1-9][0-9]*)?)*")
-_LIST_CHUNK = 64
 # a decimal exponent as Fraction reads one (\d is any Unicode digit), and
 # its largest magnitude: Fraction expands 10**exponent in full
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -288,6 +285,7 @@ def _integer_form(breakpoints, values) -> tuple[int, list[int], list[list[int]]]
              for row in rows])
 
 
+@dataclass(frozen=True, init=False)
 class PiecewiseLinearMap:
     """A continuous, component-wise piecewise-linear map on a closed interval.
 
@@ -300,14 +298,16 @@ class PiecewiseLinearMap:
     to share.
     """
 
-    __slots__ = ("den", "bps", "rows", "_breakpoints", "_values")
+    den: int
+    bps: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    _breakpoints: tuple | None = field(compare=False)
+    _values: tuple | None = field(compare=False)
 
     def __init__(self, breakpoints, values):
         bps = tuple(map(_fraction, breakpoints))
         rows = tuple(tuple(map(_fraction, row)) for row in values)
-        self._set(*_integer_form(bps, rows))
-        object.__setattr__(self, "_breakpoints", bps)
-        object.__setattr__(self, "_values", rows)
+        self._set(*_integer_form(bps, rows), bps, rows)
 
     @classmethod
     def over(cls, den: int, bps, rows) -> "PiecewiseLinearMap":
@@ -320,11 +320,9 @@ class PiecewiseLinearMap:
             rows = [[v // g for v in row] for row in rows]
         m = cls.__new__(cls)
         m._set(den, bps, rows)
-        object.__setattr__(m, "_breakpoints", None)
-        object.__setattr__(m, "_values", None)
         return m
 
-    def _set(self, den: int, bps, rows):
+    def _set(self, den: int, bps, rows, breakpoints=None, values=None):
         if len(bps) < 2:
             raise StructureError("a map needs at least two breakpoints")
         if len(rows) != len(bps):
@@ -343,21 +341,8 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "bps", tuple(bps))
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.den, self.bps, self.rows) \
-            == (other.den, other.bps, other.rows)
-
-    def __hash__(self):
-        return hash((self.den, self.bps, self.rows))
-
-    def __reduce__(self):  # copy and pickle, past the immutability guard
-        return type(self).over, (self.den, self.bps, self.rows)
+        object.__setattr__(self, "_breakpoints", breakpoints)
+        object.__setattr__(self, "_values", values)
 
     def __repr__(self):
         return (f"{type(self).__name__}(breakpoints={self.breakpoints!r}, "
@@ -431,30 +416,6 @@ class PiecewiseLinearMap:
         return cls.over(*map_document_rows(doc))
 
 
-def _literals(texts: list) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of _literal of each text.  Canonical
-    literals are checked by one match per _LIST_CHUNK of them (the match
-    keeps state for each literal it repeats over) and split with int."""
-    nums: list[int] = []
-    dens: list[int] = []
-    seen = {"": 1}  # one int per distinct denominator text
-    try:
-        for i in range(0, len(texts), _LIST_CHUNK):
-            chunk = texts[i:i + _LIST_CHUNK]
-            if not _CANONICAL_LIST.fullmatch("\0".join(chunk)):
-                break
-            parts = [t.partition("/") for t in chunk]
-            nums += [int(a) for a, _, _ in parts]
-            dens += [seen.get(b) or seen.setdefault(b, int(b))
-                     for _, _, b in parts]
-        else:
-            return nums, dens
-    except (TypeError, ValueError):
-        pass  # a literal that is no string, or too long: _literal says which
-    pairs = [_literal(t) for t in texts]
-    return [a for a, _ in pairs], [b for _, b in pairs]
-
-
 def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
     """A map document's rows in integer form: one positive denominator,
     breakpoint numerators and value-row numerators, every row checked
@@ -469,7 +430,12 @@ def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
         n = exact_type(doc["n"], int)
         bps = list(doc["breakpoints"])
         rows = [list(row) for row in doc["values"]]
-        nums, dens = _literals(bps + [v for row in rows for v in row])
+        nums: list[int] = []
+        dens: list[int] = []
+        for text in chain(bps, *rows):
+            a, b = _literal(text)
+            nums.append(a)
+            dens.append(b)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed map document: {exc}") from exc
     for row in rows:
@@ -492,10 +458,9 @@ def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
                 f"{num_bits + den_bits} bits of literals more than "
                 f"{_WIDENING} times")
     scale = {d: den // d for d in distinct}
-    scaled = [a * scale[b] for a, b in zip(nums, dens)]
-    first, width = len(bps), n + 1
-    return den, scaled[:first], [scaled[i:i + width]
-                                 for i in range(first, len(scaled), width)]
+    scaled = (a * scale[b] for a, b in zip(nums, dens))
+    return den, list(islice(scaled, len(bps))), [
+        list(islice(scaled, len(row))) for row in rows]
 
 
 def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,

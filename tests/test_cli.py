@@ -539,6 +539,17 @@ class TestSystemDocuments:
         assert code == 3 and not out
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--w", "3", "--input"],
+                                      ["plot", "--input"]],
+                             ids=["validate", "diagnose", "plot"])
+    def test_rows_of_no_component_exit_3(self, capsys, tmp_path, argv):
+        # n = -1 declares rows of length 0, which the rows here have
+        doc = {"n": -1, "breakpoints": [0, 1], "values": [[], []]}
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not out
+        assert err == "error: component count must be at least 2\n"
+
     def test_json_integers_validate_like_strings(self, capsys, tmp_path):
         doc = {"n": 1, "breakpoints": [0, 1], "values": [[0, 0], [1, 1]]}
         as_ints = cli(capsys, "validate", self._write(tmp_path, doc))

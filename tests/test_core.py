@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pgn import (DomainError, GapFunction, PgnError, PiecewiseLinearMap,
                  StructureError, concatenate,
                  format_rational, parse_rational, sup_distance)
-from pgn.core import _MAX_DECIMAL_EXPONENT, _literals, map_document_rows
+from pgn.core import _MAX_DECIMAL_EXPONENT, map_document_rows
 from pgn.template import TemplateParams, build_block, build_system
 
 from oracles import dense_max_distance, exp_oracle, ln_oracle, to_decimal
@@ -323,14 +323,9 @@ def test_document_reader_reads_literals_like_parse_rational(texts):
         want = [parse_rational(t) for t in texts]
     except PgnError:
         with pytest.raises(PgnError):
-            _literals(texts)
-        with pytest.raises(PgnError):
             map_document_rows({"n": len(texts) - 1, "breakpoints": [0],
                                "values": [texts]})
         return
-    nums, dens = _literals(texts)
-    assert all(d > 0 for d in dens)
-    assert [F(a, d) for a, d in zip(nums, dens)] == want
     den, bps, rows = map_document_rows(
         {"n": len(texts) - 1, "breakpoints": texts[:1], "values": [texts]})
     assert F(bps[0], den) == want[0]
