@@ -193,7 +193,12 @@ def _load_system(text: str):
     """The rows of a system JSON document in integer form (den, breakpoint
     numerators, value-row numerators), its template parameters (None
     without a template) and its block starts q_1..q_{K+1}."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # e.g. an integer past the digit limit
+        raise PgnError(f"system document: {exc}") from exc
     rows = map_document_rows(doc)
     params, starts = system_meta(doc.get("meta", {}))
     if params is not None and params.n != int(doc["n"]):

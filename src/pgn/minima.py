@@ -29,6 +29,13 @@ enumeration strategies with bit-identical results:
   skipped before any gauge.  T doubles from 1, or along a profile is set
   once from the previous point's witnesses.
 
+Selection streams: the scan offers each point to a selector that holds
+at most _COMPACT pairs, however many points the pass covers, cutting them
+back to their least basis whenever it fills.  Once that basis has full
+rank, its largest gauge clips every later leaf range (Schnorr-Euchner
+radius shrinking); the box path seeds it with the unit vectors, so
+clipping starts at once.
+
 Before scanning, the widths of all coordinate ranges are multiplied, the
 form coordinate's too (about 2T/E wide at negative q), and a product past
 the desk-scale limit refuses the grid point.
@@ -53,6 +60,7 @@ SIMULTANEOUS = "simultaneous"
 
 _MAX_DOUBLINGS = 80
 _MAX_WINDOW_POINTS = 40_000_000
+_COMPACT = 512
 
 
 class BoundTooSmallError(PgnError):
@@ -218,23 +226,86 @@ def _check_size(ib: IntegerBody, radii, bound: int = 0):
                        f"needs a scan of {_shown(points)} points")
 
 
-def _scan(ib: IntegerBody, radii, bound: int = 0):
-    """(g, vector) for one vector of each +- pair in the scan, flipped into
-    canonical order (first nonzero coordinate positive); the gauge is
-    g / ib.den.
+def _least_basis(pairs, dim: int):
+    """The least basis of (g, vector) pairs, each of gauge g / den, as
+    (minima, witnesses), or as much of it as their rank allows; the minima
+    are returned as numerators g.
+
+    Pairs are ranked by gauge, ties broken by smallest coordinate
+    magnitudes then lexicographically, and picked greedily subject to
+    exact linear independence; matroid exchange makes the greedy choice
+    optimal.  As den is shared and positive, the sort is on the integer g
+    alone; the tie-break sorts only the runs of equal g the greedy reaches
+    before it has dim picks."""
+    pairs.sort(key=itemgetter(0))
+    tracker = _RankTracker()
+    minima: list[int] = []
+    witnesses: list[tuple[int, ...]] = []
+    for g, run in groupby(pairs, key=itemgetter(0)):
+        for _, vec in sorted(run, key=lambda item: (
+                tuple(abs(c) for c in item[1]), item[1])):
+            if tracker.try_add(vec):
+                minima.append(g)
+                witnesses.append(vec)
+                if len(minima) == dim:
+                    return minima, witnesses
+    return minima, witnesses
+
+
+class _Selector:
+    """The sink of one scan: it takes (g, vector) pairs and keeps only what
+    the selection can still choose, at most _COMPACT pairs.
+
+    Whenever it holds _COMPACT pairs it cuts them back to their least
+    basis, which is exact: in a matroid under a strict total order the
+    least basis of A | B is that of (least basis of A) | B.  Once that
+    basis has full rank, its largest g, ``worst``, bounds every pair still
+    choosable, and the scan clips its leaf ranges to it (Schnorr-Euchner
+    radius shrinking).  ``covered`` counts every point the scan went over,
+    kept or not, and is the sink's length."""
+
+    __slots__ = ("dim", "pairs", "worst", "covered")
+
+    def __init__(self, dim: int, seed=()):
+        self.dim, self.pairs, self.worst, self.covered = (dim, list(seed),
+                                                          None, 0)
+        if seed:
+            self.compact()
+
+    def __len__(self) -> int:
+        return self.covered
+
+    def append(self, pair):
+        pairs = self.pairs
+        pairs.append(pair)
+        if len(pairs) >= _COMPACT:
+            self.compact()
+
+    def compact(self):
+        minima, witnesses = _least_basis(self.pairs, self.dim)
+        self.pairs = list(zip(minima, witnesses))
+        if len(minima) == self.dim:
+            self.worst = minima[-1]
+
+
+def _scan(ib: IntegerBody, radii, sink, bound: int = 0):
+    """Append (g, vector) to sink for one vector of each +- pair in the
+    scan, flipped into canonical order (first nonzero coordinate positive);
+    the gauge is g / ib.den.  Returns the sink.
 
     Pivots are set in row order, each over the integers where its row stays
     within its radius given the earlier pivots, or over [-bound, bound] if
-    the radius is None; while all earlier pivots are 0, only over v >= 0."""
+    the radius is None; while all earlier pivots are 0, only over v >= 0.
+    Once ``sink.worst`` is not None, no vector of larger g is offered,
+    though ``sink.covered`` still counts it."""
     _check_size(ib, radii, bound)
     levels = [(pivot, lead, reads, w, r) for (pivot, lead, reads, _), w, r
               in zip(ib.rows, ib.weights, radii)]
-    out: list = []
-    _scan_level(levels, bound, 0, [0] * len(levels), 0, True, out)
-    return out
+    _scan_level(levels, bound, 0, [0] * len(levels), 0, True, sink)
+    return sink
 
 
-def _scan_level(levels, bound, k, vec, best, free, out):
+def _scan_level(levels, bound, k, vec, best, free, sink):
     pivot, lead, reads, weight, radius = levels[k]
     s = sum(a * vec[j] for j, a in reads)
     if radius is None:
@@ -246,7 +317,7 @@ def _scan_level(levels, bound, k, vec, best, free, out):
             vec[pivot] = v
             g = abs(lead * v + s) * weight
             _scan_level(levels, bound, k + 1, vec,
-                        g if g > best else best, free and not v, out)
+                        g if g > best else best, free and not v, sink)
         return
     # the level above the leaf runs the leaf's range itself, with no call
     # per v; its row sum is base + step * v.  Most leaf ranges of a window
@@ -256,6 +327,8 @@ def _scan_level(levels, bound, k, vec, best, free, out):
     base = sum(a * vec[j] for j, a in leaf_reads if j != pivot)
     u_lo, u_hi = -bound, bound
     span = None if leaf_radius is None else 2 * leaf_radius
+    covered = 0
+    append = sink.append
     for v in range(0 if free else lo, hi + 1):
         leaf_s = base + step * v
         if span is not None:
@@ -264,51 +337,49 @@ def _scan_level(levels, bound, k, vec, best, free, out):
                 continue
             u_lo = -((leaf_radius + leaf_s) // leaf_lead)
             u_hi = rest // leaf_lead
-        vec[pivot] = v
+        first = 1 if free and not v else u_lo
+        covered += u_hi + 1 - first
         g = abs(lead * v + s) * weight
         top = g if g > best else best
-        for u in range(1 if free and not v else u_lo, u_hi + 1):
+        last, worst = u_hi, sink.worst
+        if worst is not None:
+            # no u with g > worst can be chosen: skip or clip the range
+            if top > worst:
+                continue
+            r = worst // leaf_weight
+            first = max(first, -((r + leaf_s) // leaf_lead))
+            last = min(last, (r - leaf_s) // leaf_lead)
+        vec[pivot] = v
+        for u in range(first, last + 1):
             vec[leaf] = u
             g = abs(leaf_lead * u + leaf_s) * leaf_weight
             t = tuple(vec)
             if next(filter(None, t)) < 0:
                 t = tuple(-c for c in t)
-            out.append((g if g > top else top, t))
+            append((g if g > top else top, t))
+    sink.covered += covered
 
 
 def _enumerate_box(ib: IntegerBody, bound: int):
-    """All canonical nonzero integer vectors with max-norm <= bound."""
-    return _scan(ib, [None] * len(ib.rows), bound)
+    """A selector over all canonical nonzero integer vectors with max-norm
+    <= bound, seeded with the unit vectors (in every box) so that it clips
+    from the first leaf range."""
+    dim = len(ib.rows)
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return _scan(ib, [None] * dim, _Selector(
+        dim, [(ib.numerator(e), e) for e in units]), bound)
 
 
 def _enumerate_within(ib: IntegerBody, t: int):
-    """Exactly the canonical vectors whose gauge is <= t / ib.den."""
-    return _scan(ib, ib.radii(t))
+    """A selector over exactly the canonical vectors whose gauge is
+    <= t / ib.den."""
+    return _scan(ib, ib.radii(t), _Selector(len(ib.rows)))
 
 
-def _greedy_minima(candidates, dim: int):
-    """Select the minima and witnesses from (g, vector) candidates of one
-    scan, each of gauge g / den; the minima are returned as numerators g.
-
-    Candidates are ranked by gauge, ties broken by smallest coordinate
-    magnitudes then lexicographically, and picked greedily subject to
-    exact linear independence; matroid exchange makes the greedy choice
-    optimal.  As den is shared and positive, the sort is on the integer g
-    alone; the tie-break sorts only the runs of equal g the greedy reaches
-    before it has dim picks."""
-    candidates.sort(key=itemgetter(0))
-    tracker = _RankTracker()
-    minima: list[int] = []
-    witnesses: list[tuple[int, ...]] = []
-    for g, run in groupby(candidates, key=itemgetter(0)):
-        for _, vec in sorted(run, key=lambda item: (
-                tuple(abs(c) for c in item[1]), item[1])):
-            if tracker.try_add(vec):
-                minima.append(g)
-                witnesses.append(vec)
-                if len(minima) == dim:
-                    return minima, witnesses
-    return minima, witnesses
+def _greedy_minima(sink: _Selector, dim: int):
+    """The minima (numerators g) and witnesses of one scan: the least basis
+    of what its selector holds."""
+    return _least_basis(sink.pairs, dim)
 
 
 @dataclass(frozen=True)

@@ -147,13 +147,6 @@ class BlockBreakpoints:
         }
 
 
-def beta_for_block(params: TemplateParams, q_k: Fraction,
-                   gap: GapFunction) -> Fraction:
-    if params.beta_mode == BETA_BOUNDED:
-        return params.beta
-    return gap.log(q_k)
-
-
 def closure_step(params: TemplateParams, q_k: Fraction,
                  beta_k: Fraction) -> Fraction:
     n, w = params.n, params.w
@@ -196,7 +189,7 @@ def _derive(params: TemplateParams, k: int, q_k: Fraction, gap: GapFunction
     g = gap.log(q_k)
     if g <= 0:
         fail("log(q_k) > 0", g, 0)
-    beta_k = beta_for_block(params, q_k, gap)
+    beta_k = params.beta if params.beta_mode == BETA_BOUNDED else g
     wn, wd = w.numerator, w.denominator
     dn, dd = delta.numerator, delta.denominator
     den = math.lcm(q_k.denominator, alpha.denominator, g.denominator,

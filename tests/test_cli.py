@@ -559,6 +559,21 @@ class TestSystemDocuments:
             == as_ints
         assert as_ints[0] == 2 and not as_ints[2]
 
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--w", "3", "--input"],
+                                      ["plot", "--input"]],
+                             ids=["validate", "diagnose", "plot"])
+    def test_integer_past_the_digit_limit_exits_3(self, capsys, tmp_path,
+                                                  argv):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 1, "breakpoints": [0, ' + "9" * 5000
+                        + '], "values": [[0, 0], [1, 1]]}')
+        code, out, err = cli(capsys, *argv, str(path))
+        assert code == 3 and not out
+        assert err.startswith("error: system document: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("value", [0.5, None, True, [1]],
                              ids=["float", "null", "bool", "list"])
     def test_non_rational_json_value_exits_3(self, capsys, tmp_path, value):

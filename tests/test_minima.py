@@ -269,6 +269,13 @@ class TestWarmStart:
         assert len(calls) == first + len(grid) - 1
 
 
+class _Collect(list):
+    """A sink that keeps every pair the scan offers: with no worst, the scan
+    clips nothing, so it holds the whole box or window."""
+    worst = None
+    covered = 0
+
+
 @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
 @pytest.mark.parametrize("x, scale, threshold", [
     ((F(2, 7),), F(3, 2), F(5, 2)),
@@ -279,14 +286,76 @@ def test_window_is_the_box_filtered_to_the_threshold(mode, x, scale,
                                                      threshold):
     ib = minima.IntegerBody(GaugeBody(mode, x), scale)
     bound = math.ceil(ib.reach(threshold))
-    window = minima._enumerate_within(ib, math.floor(threshold * ib.den))
-    box = minima._enumerate_box(ib, bound)
+    t = math.floor(threshold * ib.den)
+    window = minima._scan(ib, ib.radii(t), _Collect())
+    box = minima._scan(ib, [None] * len(ib.rows), _Collect(), bound)
     # the box holds one vector of each +- pair, each with its exact gauge
-    assert len(box) == ((2 * bound + 1) ** len(ib.rows) - 1) // 2
+    assert len(box) == box.covered == ((2 * bound + 1) ** len(ib.rows)
+                                       - 1) // 2
     assert all(F(g, ib.den) == ib.gauge(vec) for g, vec in box)
     limit = threshold * ib.den
-    assert len(window) > len(x)
+    assert len(window) == window.covered > len(x)
     assert sorted(window) == sorted(c for c in box if c[0] <= limit)
+    # the selectors cover the same points, however few pairs they hold
+    assert len(minima._enumerate_box(ib, bound)) == len(box)
+    assert len(minima._enumerate_within(ib, t)) == len(window)
+
+
+def _sort_then_greedy(pairs, dim):
+    """The selection restated over a full list of (gauge, vector) pairs:
+    sorted on (gauge, coordinate magnitudes, vector), then picked greedily
+    by exact rank."""
+    picks, witnesses = [], []
+    for g, _, vec in sorted((g, tuple(abs(c) for c in vec), vec)
+                            for g, vec in pairs):
+        if integer_rank(witnesses + [vec]) > len(witnesses):
+            picks.append(g)
+            witnesses.append(vec)
+            if len(picks) == dim:
+                break
+    return picks, witnesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]),
+       st.lists(st.fractions(-2, 2, max_denominator=7), min_size=1,
+                max_size=3),
+       st.fractions(F(1, 3), 3, max_denominator=4),
+       st.integers(1, 3),
+       st.fractions(F(1, 2), 2, max_denominator=4))
+def test_streaming_selection_matches_sort_then_greedy(mode, x, scale, bound,
+                                                      threshold):
+    """With the selector compacting every dim + 1 pairs, box and window
+    selections equal a sort-then-greedy over everything the scan covers."""
+    ib = minima.IntegerBody(GaugeBody(mode, tuple(x)), scale)
+    dim = len(ib.rows)
+    t = math.floor(threshold * ib.den)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minima, "_COMPACT", dim + 1)
+        box = minima._enumerate_box(ib, bound)
+        window = minima._enumerate_within(ib, t)
+        streamed = [minima._greedy_minima(box, dim),
+                    minima._greedy_minima(window, dim)]
+    every = [minima._scan(ib, [None] * dim, _Collect(), bound),
+             minima._scan(ib, ib.radii(t), _Collect())]
+    assert [len(box), len(window)] == [len(c) for c in every]
+    assert streamed == [_sort_then_greedy(c, dim) for c in every]
+
+
+def test_a_rank_deficient_pass_holds_few_pairs():
+    # the pass at T = 4 of this point stays at rank 2 of 3 over 35,112
+    # points; the selector holds at most _COMPACT of them at a time
+    ib = minima.IntegerBody(GaugeBody(SIMULTANEOUS, (F(-1, 2), F(2, 5))),
+                            GAP.exp(F(-7, 2)))
+    tracemalloc.start()
+    try:
+        sink = minima._enumerate_within(ib, ib.den << 2)
+        picks, _ = minima._greedy_minima(sink, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sink) == 35_112 and len(picks) == 2
+    assert peak < 2 ** 20
 
 
 class TestMinkowski:
@@ -461,18 +530,10 @@ def _full_sort_selection(mode, x, scale, bound):
     the box, fully sorted on (Fraction gauge, coordinate magnitudes, vector),
     then picked greedily by exact rank."""
     dim = len(x) + 1
-    items = sorted(
-        (oracle_gauge(mode, x, scale, vec), tuple(abs(c) for c in vec), vec)
-        for vec in product(range(-bound, bound + 1), repeat=dim)
-        if any(vec) and next(c for c in vec if c) > 0)
-    minima, witnesses = [], []
-    for g, _, vec in items:
-        if integer_rank(witnesses + [vec]) > len(witnesses):
-            minima.append(g)
-            witnesses.append(vec)
-            if len(minima) == dim:
-                break
-    return minima, witnesses
+    return _sort_then_greedy(
+        [(oracle_gauge(mode, x, scale, vec), vec)
+         for vec in product(range(-bound, bound + 1), repeat=dim)
+         if any(vec) and next(c for c in vec if c) > 0], dim)
 
 
 def _assert_tie_break(mode, x, scale, bound):
