@@ -17,7 +17,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
+from .core import (DEFAULT_GAP_BITS, MAX_GAP_BITS, GapFunction, PgnError,
                    PiecewiseLinearMap, format_rational, map_document_rows,
                    parse_rational)
 from .diagnostics import analyze, analyze_profile, compare_system_profile
@@ -35,11 +35,14 @@ EXIT_INVALID = 2
 EXIT_ERROR = 3
 
 # grids past these are refused before any point or scale is computed, and
-# block counts past _MAX_BLOCKS before any block is built (q_k gains bits
-# every block, so build work grows about quadratically with the count)
+# block counts past _MAX_BLOCKS, or more than _MAX_COMPONENTS block
+# components (n+1 per block), before any block is built (q_k gains bits
+# every block, so build work grows about quadratically with the count, and
+# memory linearly in n)
 _MAX_GRID_POINTS = 100_000
 _MAX_GRID_Q = 10_000
 _MAX_BLOCKS = 2_000
+_MAX_COMPONENTS = 10_000
 
 
 class UsageError(Exception):
@@ -59,9 +62,13 @@ def _gap_bits_default() -> int:
     if env is None:
         return DEFAULT_GAP_BITS
     try:
-        return int(env)
+        bits = int(env)
     except ValueError as exc:
         raise UsageError(f"PGN_GAP_BITS must be an integer, got {env!r}") from exc
+    if bits > MAX_GAP_BITS:
+        raise UsageError(f"PGN_GAP_BITS {bits} is over the limit of "
+                         f"{MAX_GAP_BITS}")
+    return bits
 
 
 def _write_output(path: str | None, text: str):
@@ -155,6 +162,11 @@ def _cmd_build(args) -> int:
     if args.blocks > _MAX_BLOCKS:
         raise UsageError(f"--blocks {args.blocks} is over the limit of "
                          f"{_MAX_BLOCKS}")
+    components = (args.n + 1) * args.blocks
+    if components > _MAX_COMPONENTS:
+        raise UsageError(f"--n {args.n} with --blocks {args.blocks} builds "
+                         f"{components} block components, over the limit "
+                         f"of {_MAX_COMPONENTS}")
     gap_bits = _gap_bits_default()
     gap = GapFunction(gap_bits)
     n = args.n

@@ -30,6 +30,10 @@ from itertools import chain, islice
 from typing import Sequence
 
 DEFAULT_GAP_BITS = 64
+# a first log+exp pair (its constants included) takes about 0.1 s at 4096
+# bits and 1.4 s at 16,384, so the cap keeps one precision field in a
+# document from stalling a command
+MAX_GAP_BITS = 4096
 
 
 class PgnError(Exception):
@@ -171,12 +175,12 @@ def _fp_pow(base: int, exponent: int, work: int) -> int:
 class GapFunction:
     """Dyadic-rational surrogate for ln/exp at a fixed fractional precision.
 
-    ``log`` and ``exp`` return Fractions with denominator ``2**bits``; the
-    internal computation carries 32 guard bits.  ``log(x)`` is within
-    ``2**-bits`` of ln x for ``2**-300 <= x <= 2**300``, and ``exp(x)``
-    within ``2**-bits`` of e**x for ``x <= 16``, refused only where e**x
-    is below ``2**-bits`` (checked against a decimal oracle at 8 and 64
-    bits).  Past ``x = 16`` the guard bits no longer cover e**x, and the
+    ``log`` and ``exp`` return Fractions with denominator ``2**bits``, for
+    8 <= bits <= MAX_GAP_BITS; the internal computation carries 32 guard
+    bits.  ``log(x)`` is within ``2**-bits`` of ln x for
+    ``2**-300 <= x <= 2**300``, and ``exp(x)`` within ``2**-bits`` of
+    e**x for ``x <= 16``, refused only where e**x is below ``2**-bits``
+    (checked against a decimal oracle at 8 and 64 bits).  Past ``x = 16`` the guard bits no longer cover e**x, and the
     absolute error of ``exp`` grows with it.  Instances are pure and
     deterministic: two instances with equal ``bits`` agree bit for bit.
     """
@@ -186,6 +190,9 @@ class GapFunction:
     def __init__(self, bits: int = DEFAULT_GAP_BITS):
         if bits < 8:
             raise PgnError("GapFunction needs at least 8 fractional bits")
+        if bits > MAX_GAP_BITS:
+            raise PgnError(f"GapFunction allows at most {MAX_GAP_BITS} "
+                           f"fractional bits, got {bits}")
         self.bits = bits
         self._work = bits + 32
         self._ln2: int | None = None

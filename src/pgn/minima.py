@@ -33,8 +33,9 @@ Selection streams: the scan offers each point to a selector that holds
 at most _COMPACT pairs, however many points the pass covers, cutting them
 back to their least basis whenever it fills.  Once that basis has full
 rank, its largest gauge clips every later leaf range (Schnorr-Euchner
-radius shrinking); the box path seeds it with the unit vectors, so
-clipping starts at once.
+radius shrinking); the box path seeds it with the unit vectors and, along
+a profile, the previous point's witnesses, so clipping starts at once and
+near lambda_dim.
 
 Before scanning, the widths of all coordinate ranges are multiplied, the
 form coordinate's too (about 2T/E wide at negative q), and a product past
@@ -360,14 +361,21 @@ def _scan_level(levels, bound, k, vec, best, free, sink):
     sink.covered += covered
 
 
-def _enumerate_box(ib: IntegerBody, bound: int):
+def _enumerate_box(ib: IntegerBody, bound: int, start=()):
     """A selector over all canonical nonzero integer vectors with max-norm
-    <= bound, seeded with the unit vectors (in every box) so that it clips
-    from the first leaf range."""
+    <= bound, seeded so that it clips from the first leaf range: with the
+    unit vectors (in every box) and with each vector of ``start`` that is a
+    box point, flipped into canonical sign.  Seeding with box points leaves
+    the least basis that of the box alone."""
     dim = len(ib.rows)
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    seed = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    for vec in start:
+        if (len(vec) == dim and any(vec)
+                and all(-bound <= c <= bound for c in vec)):
+            seed.append(tuple(-c for c in vec)
+                        if next(filter(None, vec)) < 0 else tuple(vec))
     return _scan(ib, [None] * dim, _Selector(
-        dim, [(ib.numerator(e), e) for e in units]), bound)
+        dim, [(ib.numerator(e), e) for e in seed]), bound)
 
 
 def _enumerate_within(ib: IntegerBody, t: int):
@@ -394,18 +402,26 @@ class MinimaResult:
 def successive_minima(body: GaugeBody, q, bound: int, *,
                       gap: GapFunction | None = None,
                       scale: Fraction | None = None,
-                      require_certificate: bool = True) -> MinimaResult:
+                      require_certificate: bool = True,
+                      start: tuple[tuple[int, ...], ...] | None = None
+                      ) -> MinimaResult:
     """Minima by plain box enumeration with max-norm <= bound.
 
     The body scale defaults to the dyadic surrogate of e^q; pass ``scale``
-    to pin an exact rational scale instead.
+    to pin an exact rational scale instead.  ``start``, vectors such as
+    the previous grid point's witnesses, seeds the selection beside the
+    unit vectors, so the scan skips vectors above their least basis from
+    the first range on; vectors outside the box, zero or of the wrong
+    length are ignored, and the result, refusals included, is the one
+    without ``start``.
     """
     if bound < 1:
         raise PgnError("enumeration bound must be at least 1")
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
-    nums, witnesses = _greedy_minima(_enumerate_box(ib, bound), body.dim)
+    nums, witnesses = _greedy_minima(_enumerate_box(ib, bound, start or ()),
+                                     body.dim)
     if len(nums) < body.dim:
         raise BoundTooSmallError(
             f"only {len(nums)} independent vectors in the box of size "
@@ -531,9 +547,10 @@ def minima_profile(body: GaugeBody, grid, *, bound="auto",
             if bound == "auto":
                 res = successive_minima_certified(body, q, gap=gap,
                                                   start=start)
-                start = res.witnesses
             else:
-                res = successive_minima(body, q, int(bound), gap=gap)
+                res = successive_minima(body, q, int(bound), gap=gap,
+                                        start=start)
+            start = res.witnesses
             points.append(GridPoint(q, res.minima,
                                     tuple(gap.log(v) for v in res.minima),
                                     res.witnesses))

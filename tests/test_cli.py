@@ -476,6 +476,42 @@ class TestExitCodes:
         assert err == (f"usage error: --blocks {blocks} is over the limit "
                        f"of 2000\n")
 
+    @pytest.mark.parametrize("n, blocks", [("5", "1667"), ("10000", "1"),
+                                           ("100000000", "1")])
+    def test_huge_build_size_refused_before_building(self, capsys, tmp_path,
+                                                     n, blocks):
+        out = tmp_path / "system.json"
+        argv = [*BUILD[:-1], blocks, "--out", str(out)]
+        argv[argv.index("--n") + 1] = n
+        start = time.perf_counter()
+        code, stdout, err = cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not stdout and not out.exists()
+        assert err == (f"usage error: --n {n} with --blocks {blocks} builds "
+                       f"{(int(n) + 1) * int(blocks)} block components, "
+                       f"over the limit of 10000\n")
+
+    def test_build_size_at_the_limit_passes_the_check(self, capsys):
+        # n=9999 with one block is 10,000 components: the template then
+        # refuses w=3 <= n
+        argv = list(BUILD)
+        argv[argv.index("--n") + 1], argv[-1] = "9999", "1"
+        code, _, err = cli(capsys, *argv)
+        assert code == 3 and err.startswith("error: target exponent w ")
+
+    @pytest.mark.parametrize("argv", [
+        BUILD, ["minima", "--x", "1/3", "--grid", "0:1:1"]],
+        ids=["build", "minima"])
+    def test_gap_bits_env_over_the_cap_is_a_usage_error(self, capsys,
+                                                        monkeypatch, argv):
+        monkeypatch.setenv("PGN_GAP_BITS", "5000000")
+        start = time.perf_counter()
+        code, out, err = cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not out
+        assert err == ("usage error: PGN_GAP_BITS 5000000 is over the limit "
+                       "of 4096\n")
+
     @pytest.mark.parametrize("option, size", [
         ("--width", "-7"), ("--width", "0"), ("--height", "-1"),
         ("--height", "0")])
@@ -632,6 +668,36 @@ class TestSystemDocuments:
         assert code == 3 and not out
         assert err.startswith("error: malformed template meta: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--w", "2", "--epsilon", "1/2", "--nu", "1/3",
+         "--input"],
+        ["plot", "--block", "1", "--input"]], ids=["diagnose", "plot-block"])
+    def test_system_gap_bits_over_the_cap_exits_3(self, capsys, tmp_path,
+                                                  argv):
+        template = {**self.TEMPLATE, "gap_bits": 5_000_000}
+        doc = {**self.BUILT, "meta": {**self.BUILT["meta"],
+                                      "template": template}}
+        start = time.perf_counter()
+        code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err == ("error: GapFunction allows at most 4096 fractional "
+                       "bits, got 5000000\n")
+
+    def test_profile_gap_bits_over_the_cap_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "p.csv"
+        cli(capsys, "minima", "--x", "1/3,2/5", "--grid", "0:2:1",
+            "--out", str(path))
+        path.write_text(path.read_text().replace("# gap_bits=64",
+                                                 "# gap_bits=5000000"))
+        start = time.perf_counter()
+        code, out, err = cli(capsys, "diagnose", "--input", str(path),
+                             "--w", "2", "--epsilon", "1/2", "--nu", "1/3")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err == ("error: GapFunction allows at most 4096 fractional "
+                       "bits, got 5000000\n")
 
     def test_widening_document_is_refused_under_a_small_peak(self, capsys,
                                                              tmp_path):

@@ -162,6 +162,11 @@ class TestGapFunction:
         diff = abs(Decimal(e.numerator) / Decimal(e.denominator) - exp_oracle(x))
         assert diff <= Decimal(self.TOL.numerator) / Decimal(self.TOL.denominator)
 
+    def test_precision_is_capped(self):
+        assert GapFunction(4096).bits == 4096
+        with pytest.raises(PgnError, match="at most 4096 fractional bits"):
+            GapFunction(4097)
+
     def test_exact_identities(self):
         gap = GapFunction()
         assert gap.log(1) == 0

@@ -269,6 +269,72 @@ class TestWarmStart:
         assert len(calls) == first + len(grid) - 1
 
 
+def _box_result(body, bound, scale, require, start=None):
+    """successive_minima at an exact scale, or its refusal text."""
+    try:
+        return successive_minima(body, 0, bound, scale=scale,
+                                 require_certificate=require, start=start)
+    except BoundTooSmallError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]),
+       st.lists(st.fractions(-2, 2, max_denominator=7), min_size=1,
+                max_size=3),
+       st.fractions(F(1, 3), 3, max_denominator=4),
+       st.integers(1, 3), st.booleans(), st.data())
+def test_box_seeded_with_any_start_equals_the_cold_box(mode, x, scale, bound,
+                                                       require, data):
+    """Seeds that are not canonical, repeat, leave the box, are zero or
+    have the wrong length change nothing, even with the selector
+    compacting every dim + 1 pairs."""
+    body = GaugeBody(mode, tuple(x))
+    dim = body.dim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minima, "_COMPACT", dim + 1)
+        cold = _box_result(body, bound, scale, require)
+        reach = st.integers(-bound - 2, bound + 2)
+        start = data.draw(st.lists(st.one_of(
+            st.tuples(*[reach] * dim),
+            st.lists(reach, min_size=dim - 1, max_size=dim + 1).map(tuple)),
+            max_size=2 * dim))
+        if not isinstance(cold, str):
+            # the cold witnesses in the other sign, one of them twice
+            start += [tuple(-c for c in w) for w in cold.witnesses]
+            start.append(cold.witnesses[-1])
+        start.append((0,) * dim)
+        assert _box_result(body, bound, scale, require, start) == cold
+
+
+class TestWarmBox:
+    BODY = GaugeBody(LINEAR_FORM, (F(5, 17), F(-4, 11)))
+    GRID = [F(k, 2) for k in range(9)]
+
+    def test_box_profile_rows_match_cold_points(self):
+        prof = minima_profile(self.BODY, self.GRID, bound=6)
+        cold = [successive_minima(self.BODY, q, 6) for q in self.GRID]
+        assert prof.valid == prof.points
+        assert ([(p.minima, p.witnesses) for p in prof.points]
+                == [(r.minima, r.witnesses) for r in cold])
+
+    def test_warm_box_profile_offers_fewer_pairs(self, monkeypatch):
+        offered = []
+        append = minima._Selector.append
+
+        def counted(sink, pair):
+            offered.append(pair)
+            append(sink, pair)
+
+        monkeypatch.setattr(minima._Selector, "append", counted)
+        for q in self.GRID:
+            successive_minima(self.BODY, q, 6)
+        cold = len(offered)
+        offered.clear()
+        minima_profile(self.BODY, self.GRID, bound=6)
+        assert len(offered) < cold
+
+
 class _Collect(list):
     """A sink that keeps every pair the scan offers: with no worst, the scan
     clips nothing, so it holds the whole box or window."""
