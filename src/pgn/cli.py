@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
 from .core import (DEFAULT_GAP_BITS, MAX_GAP_BITS, GapFunction, PgnError,
@@ -76,15 +75,39 @@ def _write_output(path: str | None, text: str):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pgn-tmp-")
+    tmp = f"{directory}{os.sep}.pgn-tmp-{os.getpid()}-{os.urandom(6).hex()}"
+    handle = open(tmp, "x")  # O_CREAT | O_EXCL, mode 0o666 less the umask
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for dicts with string
+    keys, lists and JSON scalars, laid out directly rather than by the
+    pure-Python encoder CPython runs whenever an indent is set.  Strings go
+    through json's own (C) quoting, other scalars through json.dumps."""
+    if type(value) is str:
+        return _quote(value)
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [f"{_quote(key)}: {_indented_json(value[key], inner)}"
+                 for key in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        items = [_quote(item) if type(item) is str
+                 else _indented_json(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(value)
 
 
 def _read_input(path: str) -> str:
@@ -193,7 +216,7 @@ def _cmd_build(args) -> int:
     built = build_system(params)
     blocks, doc = built.blocks, built.to_json_dict()
     del built  # the maps need not live on beside their document's text
-    _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_output(args.out, _indented_json(doc) + "\n")
     if args.svg:
         _write_output(args.svg, _block_figure(params, 1, params.q1))
     if args.breakpoints_csv:

@@ -24,10 +24,10 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Sequence
 
 DEFAULT_GAP_BITS = 64
 # a first log+exp pair (its constants included) takes about 0.1 s at 4096

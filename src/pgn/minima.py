@@ -478,22 +478,27 @@ def successive_minima_certified(
     greedy selection is complete, bit-identical to what a sufficiently
     large box enumeration would return.
 
-    T doubles from 1 until the window has full rank.  ``start``, dim
-    independent vectors such as the previous grid point's witnesses,
-    bounds lambda_dim by its largest gauge, so one pass there is complete;
-    the doubling schedule is then replayed through the size check, so the
-    result, refusals included, is the one doubling gives.  A warm pass past
-    the desk-scale limit falls back to doubling.
+    T doubles from 1 until the window has full rank.  ``start``, vectors
+    such as the previous grid point's witnesses, sets one warm pass at
+    their largest gauge; zero and wrong-length vectors are ignored.  When
+    that window has full rank the pass is complete, and the doubling
+    schedule is replayed through the size check, so the result, refusals
+    included, is the one doubling gives.  A warm pass past the desk-scale
+    limit or below full rank falls back to doubling.
     """
     gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
     picks = None
-    if start:
-        t = max(ib.numerator(w) for w in start)
+    seeds = [w for w in start or () if len(w) == body.dim and any(w)]
+    if seeds:
+        t = max(ib.numerator(w) for w in seeds)
         if _scan_points(ib, ib.radii(t)) <= _MAX_WINDOW_POINTS:
             picks = _greedy_minima(_enumerate_within(ib, t), body.dim)
-            _cold(body, ib, (*picks, t))
+            if len(picks[0]) < body.dim:
+                picks = None
+            else:
+                _cold(body, ib, (*picks, t))
     nums, witnesses = picks or _cold(body, ib)
     minima = tuple(Fraction(g, ib.den) for g in nums)
     return MinimaResult(minima, tuple(witnesses), scale,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .core import PgnError, PiecewiseLinearMap, _round_half_even
 
@@ -49,6 +48,7 @@ def _axis(base: int, lo: Fraction, hi: Fraction, span: int):
 
 
 _MARGIN, _LABEL_BAND = 50, 34
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 class _Frame:
@@ -103,7 +103,7 @@ def render_svg(spec: PlotSpec) -> str:
     parts.append(f'<rect width="{spec.width}" height="{spec.height}" fill="#fff"/>')
     if spec.title:
         parts.append(f'<text class="title" x="{_MARGIN}" y="20">'
-                     f"{escape(spec.title)}</text>")
+                     f"{spec.title.translate(_ESCAPE)}</text>")
 
     for guide, name in ((spec.guide_n, "n"), (spec.guide_w, "w")):
         if guide is None:
@@ -123,7 +123,7 @@ def render_svg(spec: PlotSpec) -> str:
                      f'x2="{x}" y2="{y_bot}"/>')
         parts.append(
             f'<text class="bp-label" x="{x}" '
-            f'y="{spec.height - 10}">{escape(label)}</text>')
+            f'y="{spec.height - 10}">{label.translate(_ESCAPE)}</text>')
 
     layers = [(m, "overlay") for m in spec.overlays]
     for m, cls in (*layers, (spec.subject, "component")):

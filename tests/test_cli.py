@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import stat
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -12,6 +16,8 @@ import xml.dom.minidom
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgn import PiecewiseLinearMap, validate
 from pgn.cli import _build_parser, run
@@ -353,6 +359,86 @@ class TestPlot:
         assert "; delta=0 left out (t_k &lt; u_k fails)</text>" in doc
         # one dotted sibling of n+1 components
         assert doc.count('class="overlay"') == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.booleans(),
+       st.sampled_from(["bounded", "log"]), st.booleans(),
+       st.sampled_from(["0", "1/2", "1"]), st.sampled_from(["1", "3/2", "2"]),
+       st.integers(1, 6))
+def test_build_writes_the_json_dumps_layout(n, wide, mode, paper, delta,
+                                            alpha, blocks):
+    """The system text equals json.dumps(doc, indent=2, sort_keys=True) of
+    the built document, byte for byte; the printed step needs w = 2n."""
+    w = 2 * n if wide else n + 1
+    beta = "1/2" if mode == "bounded" else None
+    argv = ["build", "--n", str(n), "--w", str(w), "--alpha", alpha,
+            "--beta-mode", mode, "--delta", delta, "--q1", "1000",
+            "--blocks", str(blocks)]
+    argv += ["--beta", beta] if beta else []
+    argv += ["--paper-qk1"] if paper and wide else []
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    doc = build_system(TemplateParams(
+        n=n, w=F(w), alpha=F(alpha), delta=F(delta), q1=F(1000),
+        blocks=blocks, beta=None if beta is None else F(beta),
+        beta_mode=mode, paper_qk1=paper and wide)).to_json_dict()
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                             (0o002, 0o664)],
+                             ids=["umask022", "umask077", "umask002"])
+    def test_written_files_honour_the_umask(self, capsys, tmp_path, umask,
+                                            mode):
+        paths = [tmp_path / name for name in ("s.json", "f.svg", "b.csv")]
+        previous = os.umask(umask)
+        try:
+            code, _, _ = cli(capsys, *BUILD, "--out", str(paths[0]),
+                             "--svg", str(paths[1]),
+                             "--breakpoints-csv", str(paths[2]))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 3
+
+    @pytest.mark.parametrize("error", [OSError("disk gone"),
+                                       KeyboardInterrupt()])
+    def test_failed_replace_leaves_the_target_and_no_temporary(
+            self, capsys, tmp_path, monkeypatch, error):
+        target = tmp_path / "system.json"
+        target.write_text("old\n")
+
+        def failing(src, dst):
+            raise error
+
+        monkeypatch.setattr(os, "replace", failing)
+        if isinstance(error, OSError):
+            code, _, err = cli(capsys, *BUILD, "--out", str(target))
+            assert code == 3 and err == "error: disk gone\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                run([*BUILD, "--out", str(target)])
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["system.json"]
+
+
+# stdlib chains no pgn command runs; a fresh interpreter importing pgn.cli
+# must load none of them
+_UNUSED_MODULES = ("xml", "http", "email", "ssl", "socket", "urllib.request",
+                   "hashlib", "tempfile", "shutil", "bz2", "lzma", "random",
+                   "typing")
+
+
+def test_cli_import_loads_no_unused_stdlib_chain():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import pgn.cli; "
+             "print(*[m for m in sys.argv[2:] if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", probe, str(src),
+                           *_UNUSED_MODULES], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == []
 
 
 class TestParser:

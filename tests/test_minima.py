@@ -269,6 +269,55 @@ class TestWarmStart:
         assert len(calls) == first + len(grid) - 1
 
 
+def _certified_result(body, scale, start=None):
+    """successive_minima_certified at an exact scale, or its refusal text."""
+    try:
+        return successive_minima_certified(body, 0, scale=scale, start=start)
+    except PgnError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([LINEAR_FORM, SIMULTANEOUS]),
+       st.lists(st.fractions(-2, 2, max_denominator=7), min_size=1,
+                max_size=3),
+       st.fractions(F(1, 3), 3, max_denominator=4),
+       st.sampled_from([30, 300, minima._MAX_WINDOW_POINTS]), st.data())
+def test_certified_with_any_start_equals_the_cold_call(mode, x, scale, limit,
+                                                       data):
+    """Seeds that are flipped, repeated, zero, of the wrong length or
+    dependent change nothing: the same minima, witnesses and scale, or the
+    same refusal text."""
+    body = GaugeBody(mode, tuple(x))
+    dim = body.dim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minima, "_MAX_WINDOW_POINTS", limit)
+        cold = _certified_result(body, scale)
+        coord = st.integers(-3, 3)
+        start = data.draw(st.lists(st.one_of(
+            st.tuples(*[coord] * dim),
+            st.lists(coord, min_size=dim - 1, max_size=dim + 1).map(tuple)),
+            max_size=dim))
+        if not isinstance(cold, str):
+            w = cold.witnesses
+            derived = [*w, *(tuple(-c for c in v) for v in w),
+                       tuple(a + b for a, b in zip(w[0], w[-1])),
+                       tuple(2 * c for c in w[-1]), w[0][:-1], w[0] + (1,)]
+            start += data.draw(st.lists(st.sampled_from(derived),
+                                        max_size=dim + 1))
+        start.append((0,) * dim)
+        assert _certified_result(body, scale, start) == cold
+
+
+def test_certified_start_of_one_witness_thrice_is_not_refused():
+    # the window at this witness's gauge has rank 2 of 3; replaying it as
+    # the final picks doubled until the desk-scale limit refused the point
+    body = GaugeBody(LINEAR_FORM, (F(1, 3), F(2, 5)))
+    cold = successive_minima_certified(body, 3)
+    w1 = cold.witnesses[0]
+    assert successive_minima_certified(body, 3, start=(w1, w1, w1)) == cold
+
+
 def _box_result(body, bound, scale, require, start=None):
     """successive_minima at an exact scale, or its refusal text."""
     try:

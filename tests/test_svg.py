@@ -2,13 +2,14 @@ import hashlib
 import re
 import xml.dom.minidom
 from fractions import Fraction as F
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgn import PgnError, PiecewiseLinearMap, PlotSpec, render_svg, sup_distance
-from pgn.cli import run
+from pgn.cli import _block_figure, run
 from pgn.svg import _axis, _Frame
 from pgn.template import TemplateParams, build_block
 
@@ -223,3 +224,29 @@ def test_frame_range_matches_fraction_min_max(rows, guides, overlays):
                     guide_n=guides[0], guide_w=guides[1])
     frame = _Frame(spec)
     assert (frame.v_lo, frame.v_hi) == _reference_range(spec)
+
+
+# '&', 'a', 'm', 'p' and ';' also spell entities that must be escaped again
+_MARKUP = st.text(alphabet="&<>;amp1 \"'", max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MARKUP, _MARKUP)
+def test_title_and_labels_are_escaped_as_saxutils_escapes(title, label):
+    doc = render_svg(PlotSpec(subject=trivial_map(), title=title,
+                              annotations=((F(1), label),)))
+    if title:
+        assert f'y="20">{escape(title)}</text>' in doc
+    assert f'y="530">{escape(label)}</text>' in doc
+    xml.dom.minidom.parseString(doc)
+
+
+def test_block_figure_title_escapes_the_left_out_inequality():
+    # at q_1 = 4 the delta=0 sibling fails t_k < u_k, which the title names
+    params = TemplateParams(n=2, w=F(6), alpha=F(1, 10), delta=F(1, 2),
+                            q1=F(4), blocks=1, beta=F(1, 20))
+    title = ("block 1, delta=1/2 (dotted: delta=0 and delta=1); "
+             "delta=0 left out (t_k < u_k fails)")
+    doc = _block_figure(params, 1, params.q1)
+    assert f'<text class="title" x="50" y="20">{escape(title)}</text>' in doc
+    assert "(t_k &lt; u_k fails)" in doc
