@@ -14,7 +14,10 @@ view built on first use; the builder, validator, diagnostics and renderer
 read the integers.  The document reader (``map_document_rows``) puts a
 document over one denominator too, and refuses, from the denominators
 alone and before any numerator is scaled, a document whose integer form
-would hold more than ``_WIDENING`` times the bits of its literals.  The
+would hold more than ``_WIDENING`` times the bits of its literals.  A
+document repeats its values, so the reader reads and scales each distinct
+literal once, and the writer (``to_json_dict``) formats each distinct
+numerator once; the size check still counts every occurrence.  The
 command line caps ``build --blocks`` at ``cli._MAX_BLOCKS``.
 """
 
@@ -24,10 +27,11 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 DEFAULT_GAP_BITS = 64
 # a first log+exp pair (its constants included) takes about 0.1 s at 4096
@@ -408,11 +412,12 @@ class PiecewiseLinearMap:
 
     def to_json_dict(self, meta: dict | None = None) -> dict:
         den = self.den
+        text = {v: _ratio_text(v, den) for v in
+                {*self.bps, *chain.from_iterable(self.rows)}}.__getitem__
         doc = {
             "n": self.n_components - 1,
-            "breakpoints": [_ratio_text(b, den) for b in self.bps],
-            "values": [[_ratio_text(v, den) for v in row]
-                       for row in self.rows],
+            "breakpoints": list(map(text, self.bps)),
+            "values": [list(map(text, row)) for row in self.rows],
         }
         if meta is not None:
             doc["meta"] = meta
@@ -427,35 +432,47 @@ def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
     """A map document's rows in integer form: one positive denominator,
     breakpoint numerators and value-row numerators, every row checked
     against the declared n; repeated breakpoints are left to the caller.
+    The breakpoints, the values and each row must be arrays.
 
-    Whether the common denominator would widen the literals past
-    _WIDENING times their bits is decided from the denominators alone,
-    before any numerator is scaled."""
+    Each distinct literal is read and scaled once; a refused document
+    gets the error of its first refused literal.  Whether the common
+    denominator would widen the literals past _WIDENING times their bits
+    is decided from the denominators alone, before any numerator is
+    scaled, and counts the bits of every occurrence of a literal."""
     if not isinstance(doc, dict):
         raise StructureError("a map document must be a JSON object")
     try:
         n = exact_type(doc["n"], int)
-        bps = list(doc["breakpoints"])
-        rows = [list(row) for row in doc["values"]]
-        nums: list[int] = []
-        dens: list[int] = []
-        for text in chain(bps, *rows):
-            a, b = _literal(text)
-            nums.append(a)
-            dens.append(b)
-    except (KeyError, TypeError, ValueError) as exc:
+        bps = _array(doc["breakpoints"], "breakpoints")
+        rows = [_array(row, "a value row")
+                for row in _array(doc["values"], "values")]
+    except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed map document: {exc}") from exc
+    texts = [*bps, *chain.from_iterable(rows)]
+    literal: dict = {}
+    for text in texts:
+        # only a str or an int is looked up: no str equals an int, but 1,
+        # True and 1.0 are one key; any other entry is read, and all but a
+        # str subclass refused, in document order like the rest
+        if type(text) is not str and type(text) is not int \
+                or text not in literal:
+            literal[text] = _literal(text)
     for row in rows:
         if len(row) != n + 1:
             raise StructureError(
                 f"document says n={n} but rows have {len(row)} components")
     # each scaled numerator a*(L/b) has at most bits(a) + bits(L) - bits(b)
-    # + 1 bits, so the integer form fits when bits(L) stays within reach
-    num_bits = sum(map(int.bit_length, nums))
-    den_bits = sum(map(int.bit_length, dens))
+    # + 1 bits, so the integer form fits when bits(L) stays within reach;
+    # the bits are those of every occurrence, not of each distinct literal
+    occurrences = Counter(texts)
+    num_bits = den_bits = 0
+    for text, k in occurrences.items():
+        a, b = literal[text]
+        num_bits += k * a.bit_length()
+        den_bits += k * b.bit_length()
     budget = _WIDENING * (num_bits + den_bits) + _WIDENING_SLACK
-    reach = (budget - num_bits + den_bits) // max(len(nums), 1) - 1
-    den, distinct = 1, set(dens)
+    reach = (budget - num_bits + den_bits) // max(len(texts), 1) - 1
+    den, distinct = 1, {b for _, b in literal.values()}
     for d in distinct:
         den = math.lcm(den, d)
         if den.bit_length() > reach:
@@ -465,9 +482,16 @@ def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
                 f"{num_bits + den_bits} bits of literals more than "
                 f"{_WIDENING} times")
     scale = {d: den // d for d in distinct}
-    scaled = (a * scale[b] for a, b in zip(nums, dens))
-    return den, list(islice(scaled, len(bps))), [
-        list(islice(scaled, len(row))) for row in rows]
+    value = {text: a * scale[b]
+             for text, (a, b) in literal.items()}.__getitem__
+    return den, list(map(value, bps)), [list(map(value, row)) for row in rows]
+
+
+def _array(value, name: str):
+    """value if it is a JSON array (a list, or a tuple), else TypeError."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be an array, not {type(value).__name__}")
+    return value
 
 
 def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import PgnError, PiecewiseLinearMap, _round_half_even
 
@@ -72,11 +73,9 @@ class _Frame:
                        _MARGIN // 2 - usable)
 
 
-def _polyline(y, xs: list[str], m: PiecewiseLinearMap,
+def _polyline(ys: dict, xs: list[str], m: PiecewiseLinearMap,
               component: int, cls: str) -> str:
-    den = m.den
-    pts = " ".join(f"{x},{y(row[component], den)}"
-                   for x, row in zip(xs, m.rows))
+    pts = " ".join(f"{x},{ys[row[component]]}" for x, row in zip(xs, m.rows))
     return f'<polyline class="{cls}" points="{pts}"/>'
 
 
@@ -128,8 +127,10 @@ def render_svg(spec: PlotSpec) -> str:
     layers = [(m, "overlay") for m in spec.overlays]
     for m, cls in (*layers, (spec.subject, "component")):
         xs = [frame.x(q, m.den) for q in m.bps]
+        # the y coordinate of each distinct value, computed once per map
+        ys = {v: frame.y(v, m.den) for v in set(chain.from_iterable(m.rows))}
         for d in range(m.n_components):
-            parts.append(_polyline(frame.y, xs, m, d, cls))
+            parts.append(_polyline(ys, xs, m, d, cls))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

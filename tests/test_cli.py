@@ -704,6 +704,38 @@ class TestSystemDocuments:
         assert code == 3 and not out
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    # strings and objects that list() would have taken for arrays
+    NOT_ARRAYS = {
+        "breakpoints-string": ({"breakpoints": "01", "values": ["00", "11"]},
+                               "breakpoints must be an array, not str"),
+        "breakpoints-object": ({"breakpoints": {"0": 0, "1": 1},
+                                "values": [["0", "0"], ["1", "1"]]},
+                               "breakpoints must be an array, not dict"),
+        "values-string": ({"breakpoints": ["0", "1"], "values": "0011"},
+                          "values must be an array, not str"),
+        "values-object": ({"breakpoints": ["0", "1"],
+                           "values": {"00": 0, "11": 1}},
+                          "values must be an array, not dict"),
+        "row-string": ({"breakpoints": ["0", "1"],
+                        "values": [["0", "0"], "11"]},
+                       "a value row must be an array, not str"),
+        "row-object": ({"breakpoints": ["0", "1"],
+                        "values": [{"0": 0, "1": 1}, ["1", "1"]]},
+                       "a value row must be an array, not dict"),
+    }
+
+    @pytest.mark.parametrize("case", list(NOT_ARRAYS), ids=list(NOT_ARRAYS))
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--w", "3", "--input"],
+                                      ["plot", "--input"]],
+                             ids=["validate", "diagnose", "plot"])
+    def test_non_array_rows_exit_3(self, capsys, tmp_path, argv, case):
+        fields, message = self.NOT_ARRAYS[case]
+        path = self._write(tmp_path, {"n": 1, **fields})
+        code, out, err = cli(capsys, *argv, path)
+        assert code == 3 and not out
+        assert err == f"error: malformed map document: {message}\n"
+
     BUILT = build_system(TemplateParams(
         n=2, w=3, alpha=1, beta=F(1, 2), delta=F(1, 2), q1=100,
         blocks=2)).to_json_dict()

@@ -3,7 +3,7 @@ import fractions
 import pickle
 import time
 from decimal import Decimal
-from math import ceil
+from math import ceil, prod
 from fractions import Fraction as F
 
 import pytest
@@ -287,6 +287,11 @@ class TestPiecewiseLinearMap:
         with pytest.raises(StructureError, match="malformed map document"):
             PiecewiseLinearMap.from_json_dict(doc)
 
+    def test_document_arrays_may_be_python_tuples(self):
+        doc = {"n": 1, "breakpoints": ("0", "1/2"),
+               "values": (("0", "0"), ["1", "1/2"])}
+        assert map_document_rows(doc) == (2, [0, 1], [[0, 0], [2, 1]])
+
     def test_copy_and_pickle_keep_the_map(self):
         m = PiecewiseLinearMap((F(-1, 3), F(7, 5)), ((F(1, 7), 9), (2, 0)))
         for twin in (copy.copy(m), copy.deepcopy(m),
@@ -315,26 +320,81 @@ _ANY_LITERALS = st.one_of(
     st.integers(-10 ** 40, 10 ** 40))
 
 
+class _Text(str):
+    """A str subclass, which parse_rational reads as its text."""
+
+
+# entries equal across types (1 == True == 1.0), which a table keyed on
+# the entries alone would merge, their texts, and unhashable entries
+_HASH_TWINS = st.sampled_from([1, True, 1.0, "1", 0, False, -0.0, "0"])
+_UNHASHABLE = st.lists(st.integers(-2, 2) | st.just("1"), max_size=2) \
+    .map(lambda items: [items]) | st.dictionaries(st.just("1"), st.just(1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ANY_LITERALS, min_size=1, max_size=6))
+@given(st.lists(_ANY_LITERALS | _HASH_TWINS | _UNHASHABLE, min_size=1,
+                max_size=5).flatmap(lambda pool: st.lists(
+                    st.sampled_from(pool), min_size=1, max_size=8)))
 @example(["2/4", "-0", " 10/4 ", "+3", "0.25", "1e-3"])
 @example([7, "-2/6", "1/3"])
 @example(["1/3", "1/00"])
 @example(["1/" + "1" * 5000])
+@example(["1/3", 1, "1/3", 1])
+@example([1, True])
+@example(["1", 1, 1.0])
+@example(["x", [[1]], "x"])
+@example([[[1]], "x"])
+@example([_Text("1/2"), "1/2", _Text(" 2/4 ")])
 def test_document_reader_reads_literals_like_parse_rational(texts):
     """Split with int or read through Fraction, every literal the reader
-    accepts has parse_rational's value, over one common denominator."""
+    accepts has parse_rational's value, over one common denominator, and
+    a refused document gets the error of its first refused literal, however
+    often and in whatever types its entries repeat."""
     try:
         want = [parse_rational(t) for t in texts]
-    except PgnError:
-        with pytest.raises(PgnError):
+    except PgnError as exc:
+        with pytest.raises(PgnError) as refused:
             map_document_rows({"n": len(texts) - 1, "breakpoints": [0],
                                "values": [texts]})
+        assert str(refused.value) == str(exc)
         return
     den, bps, rows = map_document_rows(
         {"n": len(texts) - 1, "breakpoints": texts[:1], "values": [texts]})
     assert F(bps[0], den) == want[0]
     assert [F(v, den) for v in rows[0]] == want
+
+
+# eight pairwise coprime denominators 2^p - 1 of about 270 bits each (p prime)
+_COPRIME_DENS = [2 ** p - 1 for p in (251, 257, 263, 269, 271, 277, 281, 283)]
+
+
+def _padded_document(k):
+    """Four rows, each with two of the denominators and k zeros."""
+    return {"n": k + 1, "breakpoints": ["0", "1", "2", "3"],
+            "values": [[f"1/{_COPRIME_DENS[2 * i]}",
+                        f"1/{_COPRIME_DENS[2 * i + 1]}", *["0"] * k]
+                       for i in range(4)]}
+
+
+@pytest.mark.parametrize("k, reach, bits", [
+    (0, None, None), (5, None, None), (6, 2123, 2193), (11, 1366, 2213)])
+def test_widening_budget_counts_every_occurrence(k, reach, bits):
+    """The distinct literals are the same for every k, but each added zero
+    takes one more bit and one more literal into the budget, so the
+    verdicts (those of a reader that reads every occurrence) turn at k=6."""
+    doc = _padded_document(k)
+    if reach is None:
+        den, _, rows = map_document_rows(doc)
+        assert den == prod(_COPRIME_DENS)
+        assert [F(v, den) for v in rows[0]] == \
+            [F(1, _COPRIME_DENS[0]), F(1, _COPRIME_DENS[1]), *[0] * k]
+        return
+    with pytest.raises(StructureError) as refused:
+        map_document_rows(doc)
+    assert str(refused.value) == (
+        f"map document refused: its values need a common denominator of "
+        f"over {reach} bits, which would widen its {bits} bits of literals "
+        f"more than 4 times")
 
 
 def _written(draw, x):

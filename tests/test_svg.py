@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgn import PgnError, PiecewiseLinearMap, PlotSpec, render_svg, sup_distance
+from pgn import (PgnError, PiecewiseLinearMap, PlotSpec, format_rational,
+                 render_svg, sup_distance)
 from pgn.cli import _block_figure, run
 from pgn.svg import _axis, _Frame
 from pgn.template import TemplateParams, build_block
@@ -250,3 +251,41 @@ def test_block_figure_title_escapes_the_left_out_inequality():
     doc = _block_figure(params, 1, params.q1)
     assert f'<text class="title" x="50" y="20">{escape(title)}</text>' in doc
     assert "(t_k &lt; u_k fails)" in doc
+
+
+# -- per-value tables on maps that repeat their values -----------------------
+
+
+@st.composite
+def _maps_with_repeated_values(draw):
+    """A map whose rows draw from a pool of at most four values."""
+    pool = draw(st.lists(_RATIONALS, min_size=1, max_size=4))
+    width = draw(st.integers(2, 5))
+    steps = draw(st.lists(_NONZERO.map(abs), min_size=1, max_size=10))
+    bps = [draw(_RATIONALS)]
+    for step in steps:
+        bps.append(bps[-1] + step)
+    rows = [[draw(st.sampled_from(pool)) for _ in range(width)] for _ in bps]
+    return PiecewiseLinearMap(bps, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps_with_repeated_values())
+def test_writer_matches_a_per_value_reference(m):
+    doc = m.to_json_dict()
+    assert doc["breakpoints"] == [format_rational(F(b, m.den)) for b in m.bps]
+    assert doc["values"] == [[format_rational(F(v, m.den)) for v in row]
+                             for row in m.rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maps_with_repeated_values(), _maps_with_repeated_values())
+def test_polylines_match_a_per_value_reference(m, overlay):
+    spec = PlotSpec(subject=m, overlays=(overlay,))
+    frame = _Frame(spec)  # its x and y are the two _axis coordinates
+    want = [(cls, " ".join(f"{frame.x(q, n.den)},{frame.y(row[d], n.den)}"
+                           for q, row in zip(n.bps, n.rows)))
+            for n, cls in ((overlay, "overlay"), (m, "component"))
+            for d in range(n.n_components)]
+    assert re.findall(r'<polyline class="(\w+)" points="([^"]*)"/>',
+                      render_svg(spec)) == want
