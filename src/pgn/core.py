@@ -7,18 +7,18 @@ rational with a fixed number of fractional bits.  From that point on all
 comparisons, interpolations and envelope computations are exact, so
 validity checks carry no tolerances.
 
-A :class:`PiecewiseLinearMap` holds integer numerators over one positive
-denominator, the lcm of its values' reduced denominators, and exposes its
-breakpoints and values as ``fractions.Fraction`` only through a read-only
-view built on first use; the builder, validator, diagnostics and renderer
-read the integers.  The document reader (``map_document_rows``) puts a
-document over one denominator too, and refuses, from the denominators
-alone and before any numerator is scaled, a document whose integer form
-would hold more than ``_WIDENING`` times the bits of its literals.  A
-document repeats its values, so the reader reads and scales each distinct
-literal once, and the writer (``to_json_dict``) formats each distinct
-numerator once; the size check still counts every occurrence.  The
-command line caps ``build --blocks`` at ``cli._MAX_BLOCKS``.
+A :class:`PiecewiseLinearMap` holds only integer numerators over one
+positive denominator, the lcm of its values' reduced denominators; its
+breakpoints and values as ``fractions.Fraction`` are a view computed on
+each read and never stored.  The builder, validator, diagnostics and
+renderer read the integers.  The document reader (``map_document_rows``)
+puts a document over one denominator too, and refuses, from the
+denominators alone and before any numerator is scaled, a document whose
+integer form would hold more than ``_WIDENING`` times the bits of its
+literals.  A document repeats its values, so the reader reads and scales
+each distinct literal once, and the writer (``to_json_dict``) formats each
+distinct numerator once; the size check still counts every occurrence.
+The command line caps ``build --blocks`` at ``cli._MAX_BLOCKS``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -184,9 +184,10 @@ class GapFunction:
     bits.  ``log(x)`` is within ``2**-bits`` of ln x for
     ``2**-300 <= x <= 2**300``, and ``exp(x)`` within ``2**-bits`` of
     e**x for ``x <= 16``, refused only where e**x is below ``2**-bits``
-    (checked against a decimal oracle at 8 and 64 bits).  Past ``x = 16`` the guard bits no longer cover e**x, and the
-    absolute error of ``exp`` grows with it.  Instances are pure and
-    deterministic: two instances with equal ``bits`` agree bit for bit.
+    (checked against a decimal oracle at 8 and 64 bits).  Past ``x = 16``
+    the guard bits no longer cover e**x, and the absolute error of ``exp``
+    grows with it.  Instances are pure and deterministic: two instances
+    with equal ``bits`` agree bit for bit.
     """
 
     __slots__ = ("bits", "_work", "_ln2", "_e1")
@@ -305,20 +306,16 @@ class PiecewiseLinearMap:
     is ``bps[i] / den`` and its row ``rows[i][d] / den``: integer numerators
     over one positive denominator, the lcm of the reduced denominators, so
     ``==`` and ``hash`` are value equality.  ``breakpoints`` and ``values``
-    are a read-only Fraction view, built at most once.  Immutable and safe
-    to share.
+    are a Fraction view of those integers, computed on each read.
+    Immutable and safe to share.
     """
 
     den: int
     bps: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-    _breakpoints: tuple | None = field(compare=False)
-    _values: tuple | None = field(compare=False)
 
     def __init__(self, breakpoints, values):
-        bps = tuple(map(_fraction, breakpoints))
-        rows = tuple(tuple(map(_fraction, row)) for row in values)
-        self._set(*_integer_form(bps, rows), bps, rows)
+        self._set(*_integer_form(breakpoints, values))
 
     @classmethod
     def over(cls, den: int, bps, rows) -> "PiecewiseLinearMap":
@@ -333,7 +330,7 @@ class PiecewiseLinearMap:
         m._set(den, bps, rows)
         return m
 
-    def _set(self, den: int, bps, rows, breakpoints=None, values=None):
+    def _set(self, den: int, bps, rows):
         if len(bps) < 2:
             raise StructureError("a map needs at least two breakpoints")
         if len(rows) != len(bps):
@@ -352,8 +349,6 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "bps", tuple(bps))
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_breakpoints", breakpoints)
-        object.__setattr__(self, "_values", values)
 
     def __repr__(self):
         return (f"{type(self).__name__}(breakpoints={self.breakpoints!r}, "
@@ -361,18 +356,12 @@ class PiecewiseLinearMap:
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        if self._breakpoints is None:
-            object.__setattr__(self, "_breakpoints", tuple(
-                Fraction(b, self.den) for b in self.bps))
-        return self._breakpoints
+        return tuple(Fraction(b, self.den) for b in self.bps)
 
     @property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._values is None:
-            den = self.den
-            object.__setattr__(self, "_values", tuple(
-                tuple(Fraction(v, den) for v in row) for row in self.rows))
-        return self._values
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.rows)
 
     @property
     def n_components(self) -> int:

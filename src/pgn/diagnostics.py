@@ -101,14 +101,16 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
             censored: bool = False) -> DiagnosticsReport:
     """Tail extrema of the first-component functionals, exactly.
 
-    The functionals are piecewise linear (the ratio monotone per segment),
-    so extrema over [tail_start, end] are attained at breakpoints or at
-    tail_start itself; only tail_start is interpolated, the breakpoints
-    after it are read off their rows.  q and P_1 are numerators over one
-    denominator c; the margins are compared as q - (n+1) P_1 and
-    q wd - (wn + wd) P_1 for w = wn/wd, their values times (n+1) c and
-    (wn + wd) c, which are positive for w > -1, and the ratio by
-    cross-multiplication.
+    The tail starts by default at the third breakpoint, or at the one
+    before the domain end when there are fewer than four, so that it is
+    never empty.  The functionals are piecewise linear (the ratio monotone
+    per segment), so extrema over [tail_start, end] are attained at
+    breakpoints or at tail_start itself; only tail_start is interpolated,
+    the breakpoints after it are read off their rows.  q and P_1 are
+    numerators over one denominator c; the margins are compared as
+    q - (n+1) P_1 and q wd - (wn + wd) P_1 for w = wn/wd, their values
+    times (n+1) c and (wn + wd) c, which are positive for w > -1, and the
+    ratio by cross-multiplication.
     """
     w = Fraction(w)
     if w <= -1:
@@ -117,7 +119,7 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
     lo, hi = subject.domain
     den, bps, rows = subject.den, subject.bps, subject.rows
     if tail_start is None:
-        tail_start = Fraction(bps[2] if len(bps) >= 3 else bps[0], den)
+        tail_start = Fraction(bps[min(2, len(bps) - 2)], den)
     tail_start = Fraction(tail_start)
     if tail_start < lo or tail_start > hi:
         raise PgnError(

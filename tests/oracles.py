@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: logs come from the
 decimal module, sup distances from dense sampling, minima from a full-box
-prefix-rank sweep with fraction-free integer elimination, and first minima
-of one-dimensional bodies from continued-fraction best approximations.
+prefix-rank sweep with fraction-free integer elimination, first minima
+of one-dimensional bodies from continued-fraction best approximations, and
+a tie between the linear-form and simultaneous minima of one target from
+Mahler's transference theorem.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 
 def to_decimal(x: Fraction, prec: int = 60) -> Decimal:
@@ -145,3 +148,22 @@ def cf_lambda1(x: Fraction, scale: Fraction) -> Fraction:
         if g < best:
             best = g
     return best
+
+
+def transference_products(lin, sim, scale: Fraction) -> list[Fraction]:
+    """lambda_j(lin) * lambda_{d+1-j}(sim) / F for j = 1..d, checked
+    against Mahler's bound [1/d, d!].
+
+    lin are the d linear-form minima of a target x at scale F^d, sim the
+    simultaneous minima of x at scale F.  The box dual to the linear-form
+    body at gauge 1, {|w_0| <= F^d, |w_i - x_i w_0| <= 1}, is F times the
+    simultaneous body; it holds the polar body and lies inside d times it.
+    Mahler's 1 <= lambda_j(K) lambda_{d+1-j}(K*) <= d! then gives the
+    bound (Cassels, An Introduction to the Geometry of Numbers, ch. VIII).
+    """
+    d = len(lin)
+    assert len(sim) == d
+    products = [lin[j] * sim[d - 1 - j] / scale for j in range(d)]
+    for j, p in enumerate(products, 1):
+        assert Fraction(1, d) <= p <= factorial(d), (j, p)
+    return products

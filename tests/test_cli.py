@@ -235,6 +235,30 @@ class TestDiagnoseCompare:
         assert report["omega_is_infinite"] is True
         assert report["omega_estimate"] == "inf"
 
+    def test_three_point_profile_tests_its_last_segment(self, capsys,
+                                                       tmp_path):
+        prof = tmp_path / "profile.csv"
+        assert cli(capsys, "minima", "--mode", "simultaneous", "--x",
+                   "1/3,2/5", "--grid", "0:2:1", "--out", str(prof))[0] == 0
+        code, stdout, err = cli(capsys, "diagnose", "--input", str(prof),
+                                "--w", "3")
+        assert code == 0, err
+        assert json.loads(stdout)["tested_range"] == ["1", "2"]
+
+    def test_three_breakpoint_system_tests_its_last_segment(self, capsys,
+                                                            tmp_path):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(
+            {"n": 1, "breakpoints": ["0", "1", "2"],
+             "values": [["0", "0"], ["0", "1"], ["0", "2"]]}))
+        assert cli(capsys, "validate", str(system))[0] == 0
+        code, stdout, err = cli(capsys, "diagnose", "--input", str(system),
+                                "--w", "3")
+        assert code == 0, err
+        report = json.loads(stdout)
+        assert report["tested_range"] == ["1", "2"]
+        assert report["di_margin_min"] == "1/2"
+
     @pytest.mark.parametrize("make", [
         BUILD + ["--out"],
         ["minima", "--x", "2/3", "--grid", "0:4:1", "--out"]],

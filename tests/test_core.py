@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import fractions
 import pickle
 import time
@@ -276,7 +277,14 @@ class TestPiecewiseLinearMap:
         assert all(type(v) is F for v in stored)
         assert m.breakpoints == (0, F(1, 2), F(3, 2), 2)
         assert m.values == ((F(1, 3), 1), (F(-2, 3), 2), (5, 7), (2, 0))
-        assert m.breakpoints[-1] is kept and m.values[1][1] is kept
+
+    def test_holds_only_its_integers(self):
+        assert [f.name for f in dataclasses.fields(PiecewiseLinearMap)] \
+            == ["den", "bps", "rows"]
+        m = PiecewiseLinearMap((F(-1, 3), 2), ((F(1, 7), 9), (2, "1/2")))
+        assert m.breakpoints == (F(-1, 3), 2)
+        assert m.values == ((F(1, 7), 9), (2, F(1, 2)))
+        assert set(vars(m)) == {"den", "bps", "rows"}
 
     @pytest.mark.parametrize("n", [1.9, 1.0, True, "1", None],
                              ids=["float", "integral-float", "bool", "string",
@@ -433,6 +441,8 @@ def test_document_round_trip_is_value_equality(m, data):
     back = PiecewiseLinearMap.from_json_dict(doc)
     assert back == m and hash(back) == hash(m)
     assert back.den == m.den and back.bps == m.bps and back.rows == m.rows
+    for built in (m, back):  # by __init__, and by over
+        assert built.breakpoints == tuple(F(b, built.den) for b in built.bps)
     assert back.to_json_dict() == doc
     rewritten = {"n": doc["n"],
                  "breakpoints": [_written(data.draw, b) for b in m.breakpoints],

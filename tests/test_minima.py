@@ -17,7 +17,8 @@ from pgn import (BoundTooSmallError, GapFunction, GaugeBody, LINEAR_FORM,
                  successive_minima_certified)
 
 from oracles import (cf_lambda1, integer_rank, oracle_gauge,
-                     oracle_minima_values, subsets_minima_values)
+                     oracle_minima_values, subsets_minima_values,
+                     transference_products)
 
 GAP = GapFunction()
 
@@ -307,6 +308,25 @@ def test_certified_with_any_start_equals_the_cold_call(mode, x, scale, limit,
                                         max_size=dim + 1))
         start.append((0,) * dim)
         assert _certified_result(body, scale, start) == cold
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=1,
+                max_size=3), st.data())
+def test_linear_form_and_simultaneous_minima_obey_transference(x, data):
+    """Mahler: 1/d <= lambda_j(linear form, F^d) lambda_{d+1-j}(simultaneous,
+    F) / F <= d! for the same target x in dimension d, at exact scales.
+    In dimension 4, F stops at 2: an integer target's last linear-form
+    minimum is F^4, and its window grows like F^12."""
+    x = tuple(x)
+    d = len(x) + 1
+    scale = data.draw(st.fractions(F(1, 2), F(9, 2) if d < 4 else F(2),
+                                   max_denominator=4))
+    lin = successive_minima_certified(GaugeBody(LINEAR_FORM, x), 0,
+                                      scale=scale ** d)
+    sim = successive_minima_certified(GaugeBody(SIMULTANEOUS, x), 0,
+                                      scale=scale)
+    transference_products(lin.minima, sim.minima, scale)
 
 
 def test_certified_start_of_one_witness_thrice_is_not_refused():
