@@ -64,6 +64,8 @@ def _gap_bits_default() -> int:
         bits = int(env)
     except ValueError as exc:
         raise UsageError(f"PGN_GAP_BITS must be an integer, got {env!r}") from exc
+    if bits < 8:  # GapFunction's least precision
+        raise UsageError(f"PGN_GAP_BITS {bits} is under the minimum of 8")
     if bits > MAX_GAP_BITS:
         raise UsageError(f"PGN_GAP_BITS {bits} is over the limit of "
                          f"{MAX_GAP_BITS}")
@@ -172,13 +174,11 @@ def _block_figure(params: TemplateParams, k: int, q_k, **size) -> str:
 
 
 def _breakpoints_csv(blocks) -> str:
-    cols = ["k", "q_k", "r_k", "s_k^m", "s_k", "s_k^M", "t_k", "u_k", "p_k",
-            "beta_k"]
-    lines = [",".join(cols)]
-    for bp in blocks:
-        row = bp.as_row()
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    rows = [bp.as_row() for bp in blocks]
+    for row in rows:
+        del row["q_k1"]  # the next row's q_k
+    return "\n".join([",".join(rows[0])] + [",".join(map(str, row.values()))
+                                            for row in rows]) + "\n"
 
 
 def _cmd_build(args) -> int:

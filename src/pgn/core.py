@@ -19,6 +19,10 @@ literals.  A document repeats its values, so the reader reads and scales
 each distinct literal once, and the writer (``to_json_dict``) formats each
 distinct numerator once; the size check still counts every occurrence.
 The command line caps ``build --blocks`` at ``cli._MAX_BLOCKS``.
+
+``_json_record`` is the one writer of report records (diagnose and compare
+reports, axiom violations, block rows, template meta): a record's field
+names are its JSON keys, so renaming a field changes the output.
 """
 
 from __future__ import annotations
@@ -122,6 +126,25 @@ def _ratio_text(num: int, den: int) -> str:
     except ValueError:
         raise PgnError(f"a value with over {sys.get_int_max_str_digits()} "
                        f"digits cannot be written as text") from None
+
+
+def _json_value(value):
+    """A record field as JSON: a Fraction as format_rational text, a tuple
+    as a list, anything else (int, bool, str, None) unchanged."""
+    if type(value) is Fraction:
+        return format_rational(value)
+    if type(value) is tuple:
+        return list(map(_json_value, value))
+    return value
+
+
+def _json_record(record, rename: dict | None = None) -> dict:
+    """A dataclass record as a JSON object: per field, in declaration order,
+    its name (or rename's key for it) and its value.  The names come from
+    the field table; dataclasses.fields builds a tuple per call."""
+    rename = rename or {}
+    return {rename.get(name, name): _json_value(getattr(record, name))
+            for name in record.__dataclass_fields__}
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -498,6 +521,8 @@ def sup_distance(a: PiecewiseLinearMap, b: PiecewiseLinearMap,
     hi = min(a.domain[1], b.domain[1])
     if interval is not None:
         lo2, hi2 = Fraction(interval[0]), Fraction(interval[1])
+        if lo2 > hi2:
+            raise DomainError(f"interval [{lo2}, {hi2}] is reversed")
         if lo2 < lo or hi2 > hi:
             raise DomainError(
                 f"interval [{lo2}, {hi2}] not contained in both domains "

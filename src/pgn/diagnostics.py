@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (GapFunction, PgnError, PiecewiseLinearMap,
+from .core import (GapFunction, PgnError, PiecewiseLinearMap, _json_record,
                    format_rational)
 from .minima import MinimaProfile
 
@@ -45,29 +45,10 @@ class DiagnosticsReport:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        def fr(v):
-            return None if v is None else format_rational(v)
-
-        return {
-            "tested_range": [fr(self.tested_range[0]), fr(self.tested_range[1])],
-            "di_margin_min": fr(self.di_margin_min),
-            "di_margin_at": fr(self.di_margin_at),
-            "di_margin_max": fr(self.di_margin_max),
-            "di_margin_max_at": fr(self.di_margin_max_at),
-            "dw_margin_max": fr(self.dw_margin_max),
-            "dw_margin_at": fr(self.dw_margin_at),
-            "ratio_min": fr(self.ratio_min),
-            "ratio_min_at": fr(self.ratio_min_at),
-            "ratio_min_global": fr(self.ratio_min_global),
-            "ratio_min_global_at": fr(self.ratio_min_global_at),
-            "omega_estimate": "inf" if self.omega_is_infinite else fr(self.omega_estimate),
-            "omega_is_infinite": self.omega_is_infinite,
-            "di_threshold": fr(self.di_threshold),
-            "di_satisfied": self.di_satisfied,
-            "dw_threshold": fr(self.dw_threshold),
-            "dw_satisfied": self.dw_satisfied,
-            "notes": list(self.notes),
-        }
+        record = _json_record(self)
+        if self.omega_is_infinite:
+            record["omega_estimate"] = "inf"
+        return record
 
 
 def _last_local_min(points: list[tuple], less=operator.lt) -> tuple | None:
@@ -241,16 +222,7 @@ class ComparisonReport:
     within_rn: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "sup_distance_on_grid": format_rational(self.sup_distance_on_grid),
-            "per_component_max": [format_rational(v)
-                                  for v in self.per_component_max],
-            "points": self.points,
-            "overlap": [format_rational(self.overlap[0]),
-                        format_rational(self.overlap[1])],
-            "rn": None if self.rn is None else format_rational(self.rn),
-            "within_rn": self.within_rn,
-        }
+        return _json_record(self)
 
 
 def compare_system_profile(system: PiecewiseLinearMap,
@@ -267,8 +239,8 @@ def compare_system_profile(system: PiecewiseLinearMap,
             f"{profile.dim}")
     if not profile.points:
         raise PgnError("profile has no grid points")
-    lo = max(system.domain[0], profile.points[0].q)
-    hi = min(system.domain[1], profile.points[-1].q)
+    lo = max(system.domain[0], Fraction(profile.points[0].q))
+    hi = min(system.domain[1], Fraction(profile.points[-1].q))
     if lo > hi:
         raise PgnError("system and profile ranges are disjoint")
     per_comp = [Fraction(0)] * profile.dim

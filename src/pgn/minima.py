@@ -118,6 +118,8 @@ class IntegerBody:
     __slots__ = ("rows", "weights", "den")
 
     def __init__(self, body: GaugeBody, scale: Fraction):
+        if scale <= 0:
+            raise PgnError(f"the body scale must be positive, got {scale}")
         self.rows = body.rows
         a, b = scale.numerator, scale.denominator
         # per row, E^p / d as (numerator, denominator)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
-                   PiecewiseLinearMap, concatenate, exact_type,
+                   PiecewiseLinearMap, _json_record, concatenate, exact_type,
                    format_rational, parse_rational)
 
 BETA_BOUNDED = "bounded"
@@ -132,19 +132,7 @@ class BlockBreakpoints:
     beta_k: Fraction
 
     def as_row(self) -> dict:
-        return {
-            "k": self.k,
-            "q_k": format_rational(self.q_k),
-            "r_k": format_rational(self.r_k),
-            "s_k^m": format_rational(self.s_k_m),
-            "s_k": format_rational(self.s_k),
-            "s_k^M": format_rational(self.s_k_M),
-            "t_k": format_rational(self.t_k),
-            "u_k": format_rational(self.u_k),
-            "p_k": format_rational(self.p_k),
-            "q_k1": format_rational(self.q_k1),
-            "beta_k": format_rational(self.beta_k),
-        }
+        return _json_record(self, {"s_k_m": "s_k^m", "s_k_M": "s_k^M"})
 
 
 def closure_step(params: TemplateParams, q_k: Fraction,
@@ -364,20 +352,9 @@ def block_functionals(block_map: PiecewiseLinearMap, params: TemplateParams,
 
 
 def template_to_meta(params: TemplateParams) -> dict:
-    meta = {
-        "n": params.n,
-        "w": format_rational(params.w),
-        "alpha": format_rational(params.alpha),
-        "beta_mode": params.beta_mode,
-        "delta": format_rational(params.delta),
-        "q1": format_rational(params.q1),
-        "blocks": params.blocks,
-        "gap_bits": params.gap_bits,
-        "paper_qk1": params.paper_qk1,
-    }
-    if params.beta is not None:
-        meta["beta"] = format_rational(params.beta)
-    return meta
+    """The parameters as JSON, beta left out when it is None (log mode)."""
+    return {key: value for key, value in _json_record(params).items()
+            if value is not None}
 
 
 def params_from_meta(meta: dict) -> TemplateParams:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (PiecewiseLinearMap, StructureError, _integer_form,
-                   _ratio_text, format_rational)
+                   _json_record, _ratio_text, format_rational)
 
 AXIOM_ORDER = "i-order"
 AXIOM_SUM = "i-sum"
@@ -34,9 +34,7 @@ class AxiomViolation:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {"axiom": self.axiom,
-                "q": format_rational(self.location),
-                "detail": self.detail}
+        return _json_record(self, {"location": "q"})
 
 
 @dataclass(frozen=True)

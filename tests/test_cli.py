@@ -622,6 +622,20 @@ class TestExitCodes:
         assert err == ("usage error: PGN_GAP_BITS 5000000 is over the limit "
                        "of 4096\n")
 
+    @pytest.mark.parametrize("bits", ["7", "4", "0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        BUILD, ["minima", "--x", "1/3", "--grid", "0:1:1"]],
+        ids=["build", "minima"])
+    def test_gap_bits_env_under_eight_is_a_usage_error(self, capsys,
+                                                       monkeypatch, argv,
+                                                       bits):
+        # once reached GapFunction and exited 3
+        monkeypatch.setenv("PGN_GAP_BITS", bits)
+        code, out, err = cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err == (f"usage error: PGN_GAP_BITS {bits} is under the "
+                       f"minimum of 8\n")
+
     @pytest.mark.parametrize("option, size", [
         ("--width", "-7"), ("--width", "0"), ("--height", "-1"),
         ("--height", "0")])

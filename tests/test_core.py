@@ -474,6 +474,14 @@ class TestSupDistance:
         with pytest.raises(DomainError):
             sup_distance(a, b)
 
+    def test_reversed_interval_is_named(self):
+        # once reported as disjoint domains, though both are [0, 2]
+        m = simple_map()
+        with pytest.raises(DomainError,
+                           match=r"^interval \[3/2, 1/2\] is reversed$"):
+            sup_distance(m, m, (F(3, 2), F(1, 2)))
+        assert sup_distance(m, m, (F(1, 2), F(1, 2))) == 0
+
     def test_matches_dense_oracle_on_crossing_maps(self):
         a = PiecewiseLinearMap((F(0), F(1), F(3)),
                                ((F(0), F(2)), (F(2), F(0)), (F(0), F(5))))

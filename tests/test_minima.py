@@ -338,6 +338,23 @@ def test_certified_start_of_one_witness_thrice_is_not_refused():
     assert successive_minima_certified(body, 3, start=(w1, w1, w1)) == cold
 
 
+@pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+@pytest.mark.parametrize("scale", [F(0), F(-1), F(-1, 3)])
+@pytest.mark.parametrize("call", [
+    lambda body, scale: gauge_at_scale(body, scale, (1, 0)),
+    lambda body, scale: successive_minima(body, 0, 4, scale=scale),
+    lambda body, scale: successive_minima_certified(body, 0, scale=scale)],
+    ids=["gauge_at_scale", "successive_minima",
+         "successive_minima_certified"])
+def test_a_scale_of_zero_or_below_is_refused(mode, scale, call):
+    # once gave gauge 0 for a nonzero vector, a ZeroDivisionError, minima
+    # (0, 1) or (-1/3, 0), or a window scan that did not end
+    body = GaugeBody(mode, (F(1, 3),))
+    with pytest.raises(PgnError, match="^the body scale must be positive, "
+                                       f"got {scale}$"):
+        call(body, scale)
+
+
 def _box_result(body, bound, scale, require, start=None):
     """successive_minima at an exact scale, or its refusal text."""
     try:
