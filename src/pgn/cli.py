@@ -266,9 +266,6 @@ def _cmd_minima(args) -> int:
     gap = GapFunction(_gap_bits_default())
     x = tuple(parse_rational(part) for part in args.x.split(","))
     mode = LINEAR_FORM if args.mode == "linear-form" else SIMULTANEOUS
-    if args.m is not None and args.m != len(x):
-        raise UsageError(f"--m {args.m} disagrees with {len(x)} target "
-                         "coordinates in --x")
     body = GaugeBody(mode, x)
     grid = _parse_grid(args.grid)
     bound = "auto" if args.bound == "auto" else _parse_bound(args.bound)
@@ -303,9 +300,8 @@ def _cmd_diagnose(args) -> int:
                                  epsilon=epsilon, nu=nu)
     else:
         gap = params.gap() if params else GapFunction(_gap_bits_default())
-        report = analyze(system, system.n_components - 1,
-                         params.w if w is None else w, tail_start=tail,
-                         epsilon=epsilon, nu=nu, gap=gap)
+        report = analyze(system, params.w if w is None else w,
+                         tail_start=tail, epsilon=epsilon, nu=nu, gap=gap)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -378,8 +374,6 @@ def _minima_args(p):
                    default="linear-form")
     p.add_argument("--x", required=True,
                    help="comma-separated rational target coordinates")
-    p.add_argument("--m", type=int,
-                   help="expected target count (consistency check)")
     p.add_argument("--grid", required=True, help="start:stop:step")
     p.add_argument("--bound", default="auto")
     p.add_argument("--out", default="-")

@@ -27,6 +27,7 @@ names are its JSON keys, so renaming a field changes the output.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -199,6 +200,27 @@ def _fp_pow(base: int, exponent: int, work: int) -> int:
     return result
 
 
+# shared by every GapFunction, one entry per precision (8..MAX_GAP_BITS)
+@functools.cache
+def _ln2_fp(work: int) -> int:
+    """ln 2 in fixed point scaled by 2**work."""
+    return 2 * _atanh_fp((1 << work) // 3, work)
+
+
+@functools.cache
+def _e1_fp(work: int) -> int:
+    """e in fixed point scaled by 2**work."""
+    total = term = 1 << work
+    k = 1
+    while term:
+        term //= k
+        if not term:
+            break
+        total += term
+        k += 1
+    return total
+
+
 class GapFunction:
     """Dyadic-rational surrogate for ln/exp at a fixed fractional precision.
 
@@ -209,11 +231,13 @@ class GapFunction:
     e**x for ``x <= 16``, refused only where e**x is below ``2**-bits``
     (checked against a decimal oracle at 8 and 64 bits).  Past ``x = 16``
     the guard bits no longer cover e**x, and the absolute error of ``exp``
-    grows with it.  Instances are pure and deterministic: two instances
-    with equal ``bits`` agree bit for bit.
+    grows with it.  The constants ln 2 and e are computed once per
+    precision and shared by every instance, which holds only its
+    precision; so an instance is cheap to make, pure and deterministic,
+    and two instances with equal ``bits`` agree bit for bit.
     """
 
-    __slots__ = ("bits", "_work", "_ln2", "_e1")
+    __slots__ = ("bits", "_work")
 
     def __init__(self, bits: int = DEFAULT_GAP_BITS):
         if bits < 8:
@@ -223,28 +247,6 @@ class GapFunction:
                            f"fractional bits, got {bits}")
         self.bits = bits
         self._work = bits + 32
-        self._ln2: int | None = None
-        self._e1: int | None = None
-
-    def _ln2_fp(self) -> int:
-        if self._ln2 is None:
-            w = self._work
-            self._ln2 = 2 * _atanh_fp((1 << w) // 3, w)
-        return self._ln2
-
-    def _e1_fp(self) -> int:
-        if self._e1 is None:
-            w = self._work
-            total = term = 1 << w
-            k = 1
-            while term:
-                term //= k
-                if not term:
-                    break
-                total += term
-                k += 1
-            self._e1 = total
-        return self._e1
 
     def _round_to_bits(self, value_fp: int) -> Fraction:
         shift = self._work - self.bits
@@ -265,7 +267,7 @@ class GapFunction:
             m_fp = num // (den << (-shift))
         one = 1 << w
         z_fp = ((m_fp - one) << w) // (m_fp + one)
-        total = e * self._ln2_fp() + 2 * _atanh_fp(z_fp, w)
+        total = e * _ln2_fp(w) + 2 * _atanh_fp(z_fp, w)
         return self._round_to_bits(total)
 
     def exp(self, x) -> Fraction:
@@ -287,7 +289,7 @@ class GapFunction:
             total += term
             k += 1
         if a:
-            pa = _fp_pow(self._e1_fp(), abs(a), w)
+            pa = _fp_pow(_e1_fp(w), abs(a), w)
             if a < 0:
                 pa = (1 << (2 * w)) // pa
             total = _fp_mul(total, pa, w)
@@ -296,6 +298,10 @@ class GapFunction:
             raise PgnError(
                 f"exp({x}) underflows the {self.bits}-bit dyadic surrogate")
         return result
+
+
+# the precision of a caller that names none
+_DEFAULT_GAP = GapFunction()
 
 
 # A document's integer form may hold at most _WIDENING times the bits of its
@@ -318,6 +324,15 @@ def _integer_form(breakpoints, values) -> tuple[int, list[int], list[list[int]]]
     return (den, [v.numerator * (den // v.denominator) for v in bps],
             [[v.numerator * (den // v.denominator) for v in row]
              for row in rows])
+
+
+def _check_counts(bps, rows):
+    """Refuse fewer than two breakpoints, or a row count unequal to theirs."""
+    if len(bps) < 2:
+        raise StructureError("a map needs at least two breakpoints")
+    if len(rows) != len(bps):
+        raise StructureError(
+            f"{len(bps)} breakpoints but {len(rows)} value rows")
 
 
 @dataclass(frozen=True, init=False)
@@ -354,11 +369,7 @@ class PiecewiseLinearMap:
         return m
 
     def _set(self, den: int, bps, rows):
-        if len(bps) < 2:
-            raise StructureError("a map needs at least two breakpoints")
-        if len(rows) != len(bps):
-            raise StructureError(
-                f"{len(bps)} breakpoints but {len(rows)} value rows")
+        _check_counts(bps, rows)
         width = len(rows[0])
         if width < 2:
             raise StructureError("component count must be at least 2")
@@ -443,7 +454,8 @@ class PiecewiseLinearMap:
 def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
     """A map document's rows in integer form: one positive denominator,
     breakpoint numerators and value-row numerators, every row checked
-    against the declared n; repeated breakpoints are left to the caller.
+    against the declared n and counted against the breakpoints, of which
+    there must be two; repeated breakpoints are left to the caller.
     The breakpoints, the values and each row must be arrays.
 
     Each distinct literal is read and scaled once; a refused document
@@ -473,6 +485,7 @@ def map_document_rows(doc) -> tuple[int, list[int], list[list[int]]]:
         if len(row) != n + 1:
             raise StructureError(
                 f"document says n={n} but rows have {len(row)} components")
+    _check_counts(bps, rows)
     # each scaled numerator a*(L/b) has at most bits(a) + bits(L) - bits(b)
     # + 1 bits, so the integer form fits when bits(L) stays within reach;
     # the bits are those of every occurrence, not of each distinct literal

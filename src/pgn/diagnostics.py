@@ -15,8 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (GapFunction, PgnError, PiecewiseLinearMap, _json_record,
-                   format_rational)
+from .core import (GapFunction, PgnError, PiecewiseLinearMap, _DEFAULT_GAP,
+                   _json_record, format_rational)
 from .minima import MinimaProfile
 
 RANGE_NOTE = ("verdicts are range-limited: they certify the tested tail, "
@@ -75,12 +75,12 @@ def _ratio_less(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] < b[0] * a[1]
 
 
-def analyze(subject: PiecewiseLinearMap, n: int, w, *,
+def analyze(subject: PiecewiseLinearMap, w, *,
             tail_start=None, epsilon=None, nu=None,
-            gap: GapFunction | None = None,
+            gap: GapFunction = _DEFAULT_GAP,
             kernel_locked: bool = False,
             censored: bool = False) -> DiagnosticsReport:
-    """Tail extrema of the first-component functionals, exactly.
+    """Exact tail extrema of P_1's functionals, n + 1 = subject.n_components.
 
     The tail starts by default at the third breakpoint, or at the one
     before the domain end when there are fewer than four, so that it is
@@ -96,7 +96,7 @@ def analyze(subject: PiecewiseLinearMap, n: int, w, *,
     w = Fraction(w)
     if w <= -1:
         raise PgnError(f"w must exceed -1, got {format_rational(w)}")
-    gap = gap or GapFunction()
+    n = subject.n_components - 1
     lo, hi = subject.domain
     den, bps, rows = subject.den, subject.bps, subject.rows
     if tail_start is None:
@@ -202,12 +202,9 @@ def profile_kernel_locked(profile: MinimaProfile) -> bool:
 
 
 def analyze_profile(profile: MinimaProfile, w, *, tail_start=None,
-                    epsilon=None, nu=None,
-                    gap: GapFunction | None = None) -> DiagnosticsReport:
-    subject = profile_interpolant(profile)
-    return analyze(subject, profile.dim - 1, w, tail_start=tail_start,
-                   epsilon=epsilon, nu=nu,
-                   gap=gap or GapFunction(profile.gap_bits),
+                    epsilon=None, nu=None) -> DiagnosticsReport:
+    return analyze(profile_interpolant(profile), w, tail_start=tail_start,
+                   epsilon=epsilon, nu=nu, gap=GapFunction(profile.gap_bits),
                    kernel_locked=profile_kernel_locked(profile),
                    censored=True)
 

@@ -53,8 +53,8 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError, format_rational,
-                   parse_rational)
+from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError, _DEFAULT_GAP,
+                   format_rational, parse_rational)
 
 LINEAR_FORM = "linear-form"
 SIMULTANEOUS = "simultaneous"
@@ -165,8 +165,8 @@ def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
     return IntegerBody(body, Fraction(scale)).gauge(vec)
 
 
-def gauge(body: GaugeBody, q, vec, gap: GapFunction | None = None) -> Fraction:
-    gap = gap or GapFunction()
+def gauge(body: GaugeBody, q, vec,
+          gap: GapFunction = _DEFAULT_GAP) -> Fraction:
     return gauge_at_scale(body, gap.exp(q), vec)
 
 
@@ -402,7 +402,7 @@ class MinimaResult:
 
 
 def successive_minima(body: GaugeBody, q, bound: int, *,
-                      gap: GapFunction | None = None,
+                      gap: GapFunction = _DEFAULT_GAP,
                       scale: Fraction | None = None,
                       require_certificate: bool = True,
                       start: tuple[tuple[int, ...], ...] | None = None
@@ -419,15 +419,10 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
     """
     if bound < 1:
         raise PgnError("enumeration bound must be at least 1")
-    gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
     nums, witnesses = _greedy_minima(_enumerate_box(ib, bound, start or ()),
                                      body.dim)
-    if len(nums) < body.dim:
-        raise BoundTooSmallError(
-            f"only {len(nums)} independent vectors in the box of size "
-            f"{bound}", suggested=2 * bound)
     minima = tuple(Fraction(g, ib.den) for g in nums)
     needed = ib.reach(minima[-1])
     certified = needed <= bound
@@ -470,7 +465,7 @@ def _cold(body: GaugeBody, ib: IntegerBody, replay=None):
 
 
 def successive_minima_certified(
-        body: GaugeBody, q, *, gap: GapFunction | None = None,
+        body: GaugeBody, q, *, gap: GapFunction = _DEFAULT_GAP,
         scale: Fraction | None = None,
         start: tuple[tuple[int, ...], ...] | None = None) -> MinimaResult:
     """Certified minima by window enumeration.
@@ -488,7 +483,6 @@ def successive_minima_certified(
     included, is the one doubling gives.  A warm pass past the desk-scale
     limit or below full rank falls back to doubling.
     """
-    gap = gap or GapFunction()
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
     picks = None
@@ -542,8 +536,7 @@ def proxy_horizon(body: GaugeBody) -> int:
 
 
 def minima_profile(body: GaugeBody, grid, *, bound="auto",
-                   gap: GapFunction | None = None) -> MinimaProfile:
-    gap = gap or GapFunction()
+                   gap: GapFunction = _DEFAULT_GAP) -> MinimaProfile:
     grid = tuple(Fraction(g) for g in grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PgnError("grid must be strictly increasing")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (DEFAULT_GAP_BITS, GapFunction, PgnError,
-                   PiecewiseLinearMap, _json_record, concatenate, exact_type,
-                   format_rational, parse_rational)
+                   PiecewiseLinearMap, _DEFAULT_GAP, _json_record,
+                   concatenate, exact_type, format_rational, parse_rational)
 
 BETA_BOUNDED = "bounded"
 BETA_LOG = "log"
@@ -55,7 +55,7 @@ def transfer_exponents(n: int, w: Fraction, rn: Fraction) -> tuple[Fraction, Fra
 
 
 def derive_alpha_beta(epsilon, nu, rn, n: int, w,
-                      gap: GapFunction | None = None) -> tuple[Fraction, Fraction]:
+                      gap: GapFunction = _DEFAULT_GAP) -> tuple[Fraction, Fraction]:
     """Margins (alpha, beta) from tolerance parameters epsilon, nu in (0,1):
     alpha = -log(epsilon)/(n+1) + 2 R_n and beta = -log(nu)/(w+1) + 2 R_n."""
     epsilon, nu, rn, w = map(Fraction, (epsilon, nu, rn, w))
@@ -65,7 +65,6 @@ def derive_alpha_beta(epsilon, nu, rn, n: int, w,
         raise PgnError(f"nu must lie in (0,1), got {nu}")
     if rn < 0:
         raise PgnError(f"R_n must be nonnegative, got {rn}")
-    gap = gap or GapFunction()
     alpha = -gap.log(epsilon) / (n + 1) + 2 * rn
     beta = -gap.log(nu) / (w + 1) + 2 * rn
     return alpha, beta
@@ -147,14 +146,14 @@ def printed_step(params: TemplateParams, q_k: Fraction,
     return w / Fraction(n) * q_k + (w - 1) * (n + 1) / Fraction(n) * (params.alpha - beta_k)
 
 
-def derive_block_breakpoints(params: TemplateParams, k: int, q_k,
-                             gap: GapFunction | None = None) -> BlockBreakpoints:
-    """All breakpoints of block k starting at q_k, with the full ordering
+def derive_block_breakpoints(params: TemplateParams, k: int,
+                             q_k) -> BlockBreakpoints:
+    """Block k's breakpoints from q_k at params.gap_bits, the full ordering
     asserted; raises TemplateOrderingError naming the violated inequality."""
-    return _derive(params, k, Fraction(q_k), gap or params.gap())[0]
+    return _derive(params, k, Fraction(q_k))[0]
 
 
-def _derive(params: TemplateParams, k: int, q_k: Fraction, gap: GapFunction
+def _derive(params: TemplateParams, k: int, q_k: Fraction
             ) -> tuple[BlockBreakpoints, int, dict[str, int]]:
     """derive_block_breakpoints, with the numerators of q_k, r_k, s_k^m,
     s_k, s_k^M, t_k, u_k, p_k, q_{k+1}, alpha and beta_k over one
@@ -174,7 +173,7 @@ def _derive(params: TemplateParams, k: int, q_k: Fraction, gap: GapFunction
     den = 1  # until the common denominator is known, fail takes Fractions
     if q_k <= 1:
         fail("q_k > 1", q_k, 1)
-    g = gap.log(q_k)
+    g = params.gap().log(q_k)
     if g <= 0:
         fail("log(q_k) > 0", g, 0)
     beta_k = params.beta if params.beta_mode == BETA_BOUNDED else g
@@ -221,14 +220,13 @@ def _schedule(n: int) -> list[tuple[int, int]]:
     return [(2, n), (n + 1, n + 1), (2, n), (2, n + 1), (n + 1, n + 1), (1, 1)]
 
 
-def build_block(params: TemplateParams, k: int, q_k,
-                gap: GapFunction | None = None,
+def build_block(params: TemplateParams, k: int, q_k
                 ) -> tuple[PiecewiseLinearMap, BlockBreakpoints]:
     """One block on [q_k, q_{k+1}] with its junction identities verified.
 
     The rows are numerators over the breakpoints' denominator times n-1,
     so that each gain (b - a)/size divides exactly."""
-    bp, den, nums = _derive(params, k, Fraction(q_k), gap or params.gap())
+    bp, den, nums = _derive(params, k, Fraction(q_k))
     n, w = params.n, params.w
     wn, wd = w.numerator, w.denominator
     den *= n - 1
@@ -289,15 +287,13 @@ class BuiltSystem:
         return self.map.to_json_dict(meta=meta)
 
 
-def build_system(params: TemplateParams,
-                 gap: GapFunction | None = None) -> BuiltSystem:
+def build_system(params: TemplateParams) -> BuiltSystem:
     """Concatenate the requested number of blocks starting at q1."""
-    gap = gap or params.gap()
     q = params.q1
     block_maps: list[PiecewiseLinearMap] = []
     blocks: list[BlockBreakpoints] = []
     for k in range(1, params.blocks + 1):
-        pl, bp = build_block(params, k, q, gap)
+        pl, bp = build_block(params, k, q)
         block_maps.append(pl)
         blocks.append(bp)
         q = bp.q_k1

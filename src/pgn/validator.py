@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (PiecewiseLinearMap, StructureError, _integer_form,
-                   _json_record, _ratio_text, format_rational)
+from .core import (PiecewiseLinearMap, StructureError, _check_counts,
+                   _integer_form, _json_record, _ratio_text, format_rational)
 
 AXIOM_ORDER = "i-order"
 AXIOM_SUM = "i-sum"
@@ -44,9 +44,6 @@ class AxiomReport:
     @property
     def is_system(self) -> bool:
         return not self.violations
-
-    def first(self) -> AxiomViolation | None:
-        return self.violations[0] if self.violations else None
 
 
 def _segment_pattern(left: tuple[int, ...], right: tuple[int, ...],
@@ -142,11 +139,10 @@ def validate_raw(breakpoints, values, den: int | None = None) -> AxiomReport:
     if den is None:
         den, breakpoints, values = _integer_form(breakpoints, values)
     bps, rows = breakpoints, values
-    if len(bps) != len(rows):
-        raise StructureError("breakpoint/value row count mismatch")
+    _check_counts(bps, rows)
     if any(b2 < b1 for b1, b2 in zip(bps, bps[1:])):
         raise StructureError("breakpoints are not sorted")
-    width = len(rows[0]) if rows else 0
+    width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise StructureError("value rows have inconsistent lengths")
 

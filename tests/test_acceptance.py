@@ -243,7 +243,7 @@ def test_criterion_8_rational_target_singularity(acceptance_profiles):
     assert len(margins) >= 6
     for (q1, m1), (q2, m2) in zip(margins, margins[1:]):
         assert m2 > m1, f"margin dip between q={q1} and q={q2}"
-    diag = analyze_profile(prof, F(1), gap=GAP)
+    diag = analyze_profile(prof, F(1))
     assert diag.omega_is_infinite
     report(8, f"x=2/3: improvability margin strictly increasing over "
               f"{len(margins)} grid points with E > 3; exponent flagged "
@@ -260,7 +260,7 @@ def test_criterion_9_badly_approximable_band(acceptance_profiles):
         # independent check: first minimum from best rational approximations
         assert p.minima[0] == cf_lambda1(x, GAP.exp(p.q))
     assert band <= 1
-    diag = analyze_profile(prof, F(1), gap=GAP)
+    diag = analyze_profile(prof, F(1))
     assert not diag.omega_is_infinite
     omega = diag.omega_estimate
     assert 1 <= omega <= F(11, 10), f"omega = {float(omega)}"

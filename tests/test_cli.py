@@ -134,7 +134,7 @@ class TestMinima:
     def test_simultaneous_mode(self, capsys, tmp_path):
         out = tmp_path / "profile.csv"
         code, _, _ = cli(capsys, "minima", "--mode", "simultaneous",
-                         "--x", "1/3,1/5", "--m", "2", "--grid", "0:1:1/2",
+                         "--x", "1/3,1/5", "--grid", "0:1:1/2",
                          "--out", str(out))
         assert code == 0
 
@@ -153,11 +153,6 @@ class TestMinima:
         assert [row[0] for row in rows] == ["-46", "-44", "-42"]
         assert all(not any(row[1:-1]) and row[-1] for row in rows)
         assert rows[0][-1] == "exp(-46) underflows the 64-bit dyadic surrogate"
-
-    def test_m_mismatch_is_usage_error(self, capsys):
-        code, _, _ = cli(capsys, "minima", "--mode", "simultaneous",
-                         "--x", "1/3", "--m", "2", "--grid", "0:1:1")
-        assert code == 1
 
     def test_gap_bits_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PGN_GAP_BITS", "96")
@@ -514,8 +509,10 @@ class TestExitCodes:
         BUILD + ["--gap-bits", "64"],
         ["minima", "--x", "1/3", "--grid", "0:1:1", "--gap-bits", "64"],
         ["diagnose", "--input", "x.json", "--w", "3", "--gap-bits", "64"],
-        ["plot", "--input", "x.json", "--gap-bits", "64"]],
-        ids=["diagnose-n", "build", "minima", "diagnose", "plot"])
+        ["plot", "--input", "x.json", "--gap-bits", "64"],
+        ["minima", "--mode", "simultaneous", "--x", "1/3", "--m", "2",
+         "--grid", "0:1:1"]],
+        ids=["diagnose-n", "build", "minima", "diagnose", "plot", "minima-m"])
     def test_removed_options_are_usage_errors(self, capsys, argv):
         code, out, err = cli(capsys, *argv)
         assert code == 1 and not out
@@ -636,6 +633,84 @@ class TestExitCodes:
         assert err == (f"usage error: PGN_GAP_BITS {bits} is under the "
                        f"minimum of 8\n")
 
+    # id: (environment, argv with {file} placeholders, exit code, stderr)
+    REFUSALS = {
+        "compare-csv-system": (
+            {}, ["compare", "--system", "{profile}", "--profile",
+                 "{profile}"],
+            1, "usage error: --system must point to a system JSON document"),
+        "compare-json-profile": (
+            {}, ["compare", "--system", "{system}", "--profile", "{system}"],
+            1, "usage error: --profile must point to a profile CSV"),
+        "plot-block-0": (
+            {}, ["plot", "--input", "{system}", "--block", "0"],
+            1, "usage error: --block out of range 1..4"),
+        "plot-block-past-k": (
+            {}, ["plot", "--input", "{system}", "--block", "5"],
+            1, "usage error: --block out of range 1..4"),
+        "plot-block-without-meta": (
+            {}, ["plot", "--input", "{bare}", "--block", "1"],
+            1, "usage error: --block needs template metadata in the file"),
+        "grid-reversed": (
+            {}, ["minima", "--x", "1/3", "--grid", "1:0:1"],
+            1, "usage error: grid needs step > 0 and stop >= start"),
+        "grid-zero-step": (
+            {}, ["minima", "--x", "1/3", "--grid", "0:1:0"],
+            1, "usage error: grid needs step > 0 and stop >= start"),
+        "build-no-alpha": (
+            {}, ["build", "--n", "2", "--w", "3", "--beta", "1/2",
+                 "--q1", "100"],
+            1, "usage error: provide --alpha or --epsilon"),
+        "build-no-beta": (
+            {}, ["build", "--n", "2", "--w", "3", "--alpha", "1",
+                 "--q1", "100"],
+            1, "usage error: bounded beta mode needs --beta or --nu"),
+        "diagnose-profile-no-w": (
+            {}, ["diagnose", "--input", "{profile}"],
+            1, "usage error: --w is required for a profile or a system "
+               "without template metadata"),
+        "gap-bits-env-not-integer": (
+            {"PGN_GAP_BITS": "abc"}, BUILD,
+            1, "usage error: PGN_GAP_BITS must be an integer, got 'abc'"),
+        "diagnose-epsilon": (
+            {}, ["diagnose", "--input", "{system}", "--epsilon", "2"],
+            3, "error: epsilon must lie in (0,1)"),
+        "diagnose-nu": (
+            {}, ["diagnose", "--input", "{system}", "--nu", "0"],
+            3, "error: nu must lie in (0,1)"),
+        "diagnose-one-valid-point": (
+            {}, ["diagnose", "--input", "{one_point}", "--w", "3"],
+            3, "error: profile has fewer than two valid grid points"),
+        "compare-disjoint": (
+            {}, ["compare", "--system", "{system}", "--profile",
+                 "{profile}"],
+            3, "error: system and profile ranges are disjoint"),
+        "validate-template-n": (
+            {}, ["validate", "{n3}"],
+            3, "error: template n=2 disagrees with n=3"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal_exit_code_and_line(self, capsys, tmp_path, monkeypatch,
+                                        case):
+        env, argv, expected_code, line = self.REFUSALS[case]
+        files = {name: str(tmp_path / name) for name in
+                 ("system", "bare", "profile", "one_point", "n3")}
+        cli(capsys, *BUILD, "--out", files["system"])
+        doc = json.loads(pathlib.Path(files["system"]).read_text())
+        pathlib.Path(files["bare"]).write_text(json.dumps(
+            {key: doc[key] for key in ("n", "breakpoints", "values")}))
+        pathlib.Path(files["n3"]).write_text(json.dumps(
+            {**doc, "n": 3, "values": [row + ["0"] for row in doc["values"]]}))
+        cli(capsys, "minima", "--x", "1/3,1/5", "--grid", "0:1:1", "--out",
+            files["profile"])
+        cli(capsys, "minima", "--x", "1/3", "--grid", "-46:-40:2", "--out",
+            files["one_point"])
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = cli(capsys, *(a.format(**files) for a in argv))
+        assert (code, out, err) == (expected_code, "", line + "\n")
+
     @pytest.mark.parametrize("option, size", [
         ("--width", "-7"), ("--width", "0"), ("--height", "-1"),
         ("--height", "0")])
@@ -709,6 +784,28 @@ class TestSystemDocuments:
         code, out, err = cli(capsys, *argv, self._write(tmp_path, doc))
         assert code == 3 and not out
         assert err == "error: component count must be at least 2\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"breakpoints": ["0", "1", "2"], "values": [["0", "0"], ["0", "1"]]},
+         "3 breakpoints but 2 value rows"),
+        ({"breakpoints": ["0"], "values": [["0", "0"]]},
+         "a map needs at least two breakpoints")],
+        ids=["row-count", "one-breakpoint"])
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["diagnose", "--w", "3", "--input"],
+                                      ["plot", "--input"]],
+                             ids=["validate", "diagnose", "plot"])
+    def test_breakpoint_count_defect_has_one_message(self, capsys, tmp_path,
+                                                      argv, doc, message):
+        path = self._write(tmp_path, {"n": 1, **doc})
+        assert cli(capsys, *argv, path) == (3, "", f"error: {message}\n")
+
+    def test_validate_refuses_one_distinct_breakpoint(self, capsys,
+                                                      tmp_path):
+        doc = {"n": 1, "breakpoints": ["0", "0"],
+               "values": [["0", "0"], ["0", "0"]]}
+        assert cli(capsys, "validate", self._write(tmp_path, doc)) == (
+            3, "", "error: fewer than two distinct breakpoints\n")
 
     def test_json_integers_validate_like_strings(self, capsys, tmp_path):
         doc = {"n": 1, "breakpoints": [0, 1], "values": [[0, 0], [1, 1]]}

@@ -366,8 +366,10 @@ def test_document_reader_reads_literals_like_parse_rational(texts):
                                "values": [texts]})
         assert str(refused.value) == str(exc)
         return
+    # two equal breakpoints: the reader refuses fewer, and leaves repeats
     den, bps, rows = map_document_rows(
-        {"n": len(texts) - 1, "breakpoints": texts[:1], "values": [texts]})
+        {"n": len(texts) - 1, "breakpoints": texts[:1] * 2,
+         "values": [texts] * 2})
     assert F(bps[0], den) == want[0]
     assert [F(v, den) for v in rows[0]] == want
 

@@ -25,7 +25,7 @@ class TestAnalyzeSystems:
     def test_template_tail_margins(self):
         params, built = twenty_block_system()
         tail_from = built.blocks[4].q_k
-        report = analyze(built.map, 2, F(3), tail_start=tail_from, gap=GAP)
+        report = analyze(built.map, F(3), tail_start=tail_from, gap=GAP)
         assert report.di_margin_min == 1
         assert report.dw_margin_max == F(1, 2)
         last = built.blocks[-1]
@@ -40,14 +40,14 @@ class TestAnalyzeSystems:
 
     def test_di_margin_attained_at_anchor(self):
         params, built = twenty_block_system()
-        report = analyze(built.map, 2, F(3), tail_start=F(100), gap=GAP)
+        report = analyze(built.map, F(3), tail_start=F(100), gap=GAP)
         assert report.di_margin_at == F(100)
         assert report.dw_margin_at == built.blocks[0].p_k
 
     def test_matches_block_functionals(self):
         params, built = twenty_block_system()
         f = block_functionals(built.block_maps[-1], params, built.blocks[-1])
-        report = analyze(built.map, 2, F(3),
+        report = analyze(built.map, F(3),
                          tail_start=built.blocks[-1].q_k, gap=GAP)
         assert report.di_margin_min == f.min_di_margin
         assert report.dw_margin_max == f.dw_peak
@@ -55,21 +55,21 @@ class TestAnalyzeSystems:
 
     def test_verdicts(self):
         _, built = twenty_block_system()
-        report = analyze(built.map, 2, F(3), epsilon=F(1, 2), nu=F(1, 2),
+        report = analyze(built.map, F(3), epsilon=F(1, 2), nu=F(1, 2),
                          gap=GAP)
         # threshold -log(1/2)/3 = 0.231 < 1 = margin
         assert report.di_satisfied is True
         # dw threshold -log(1/2)/4 = 0.173 < 1/2 = peak
         assert report.dw_satisfied is False
         tiny = GAP.exp(-9)  # epsilon with -log(eps)/3 = 3 > 1
-        strict = analyze(built.map, 2, F(3), epsilon=tiny, gap=GAP)
+        strict = analyze(built.map, F(3), epsilon=tiny, gap=GAP)
         assert strict.di_satisfied is False
 
     def test_verdict_monotonicity(self):
         _, built = twenty_block_system()
         held = None
         for eps in (F(1, 100), F(1, 10), F(1, 2), F(9, 10)):
-            rep = analyze(built.map, 2, F(3), epsilon=eps, gap=GAP)
+            rep = analyze(built.map, F(3), epsilon=eps, gap=GAP)
             if held is True:
                 assert rep.di_satisfied is True
             held = rep.di_satisfied
@@ -78,13 +78,13 @@ class TestAnalyzeSystems:
         _, built = twenty_block_system()
         end = built.map.domain[1]
         with pytest.raises(PgnError):
-            analyze(built.map, 2, F(3), tail_start=end, gap=GAP)
+            analyze(built.map, F(3), tail_start=end, gap=GAP)
         with pytest.raises(PgnError):
-            analyze(built.map, 2, F(3), tail_start=F(1), gap=GAP)
+            analyze(built.map, F(3), tail_start=F(1), gap=GAP)
 
     def test_notes_always_flag_range_limits(self):
         _, built = twenty_block_system()
-        report = analyze(built.map, 2, F(3), gap=GAP)
+        report = analyze(built.map, F(3), gap=GAP)
         assert any("range-limited" in n for n in report.notes)
 
 
@@ -104,7 +104,7 @@ def _extrema_by_evaluate(m, n, w, tail_start):
 
 
 def _assert_walk_matches_evaluate(m, n, w, tail_start):
-    r = analyze(m, n, w, tail_start=tail_start, gap=GAP)
+    r = analyze(m, w, tail_start=tail_start, gap=GAP)
     assert r.tested_range == (tail_start, m.domain[1])
     assert ((r.di_margin_at, r.di_margin_min),
             (r.di_margin_max_at, r.di_margin_max),

@@ -45,7 +45,7 @@ def assert_record(record: dict, expected: dict):
 
 class TestDiagnosticsReport:
     def test_with_thresholds(self):
-        report = analyze(SUBJECT, 1, F(3), epsilon=F(1, 2), nu=F(1, 3),
+        report = analyze(SUBJECT, F(3), epsilon=F(1, 2), nu=F(1, 3),
                          gap=GAP)
         assert_record(report.to_json_dict(), {
             **MARGINS, "omega_estimate": "5", "omega_is_infinite": False,
@@ -54,13 +54,13 @@ class TestDiagnosticsReport:
             "notes": [RANGE_NOTE]})
 
     def test_without_thresholds(self):
-        report = analyze(SUBJECT, 1, F(3), gap=GAP)
+        report = analyze(SUBJECT, F(3), gap=GAP)
         assert_record(report.to_json_dict(), {
             **MARGINS, "omega_estimate": "5", "omega_is_infinite": False,
             **NO_VERDICTS, "notes": [RANGE_NOTE]})
 
     def test_kernel_locked_profile_writes_inf(self):
-        report = analyze(SUBJECT, 1, F(3), kernel_locked=True,
+        report = analyze(SUBJECT, F(3), kernel_locked=True,
                          censored=True, gap=GAP)
         assert_record(report.to_json_dict(), {
             **MARGINS, "omega_estimate": "inf", "omega_is_infinite": True,
@@ -70,7 +70,7 @@ class TestDiagnosticsReport:
     def test_no_positive_q_writes_null_ratios(self):
         subject = PiecewiseLinearMap((-3, -2, -1),
                                      ((-1, -2), (-1, -1), (-1, 0)))
-        report = analyze(subject, 1, F(2), tail_start=-2, gap=GAP)
+        report = analyze(subject, F(2), tail_start=-2, gap=GAP)
         assert_record(report.to_json_dict(), {
             "tested_range": ["-2", "-1"],
             "di_margin_min": "0", "di_margin_at": "-2",

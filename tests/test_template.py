@@ -48,7 +48,7 @@ class TestDeriveAlphaBeta:
 
 class TestBlockBreakpoints:
     def test_reference_block_exact_values(self):
-        bp = derive_block_breakpoints(reference_params(), 1, F(100), GAP)
+        bp = derive_block_breakpoints(reference_params(), 1, F(100))
         g = GAP.log(100)
         assert bp.r_k == 103
         assert bp.p_k == F(394, 3)
@@ -60,28 +60,28 @@ class TestBlockBreakpoints:
         assert bp.t_k == 103 + 3 * g
 
     def test_reference_block_decimal_values(self):
-        bp = derive_block_breakpoints(reference_params(), 1, F(100), GAP)
+        bp = derive_block_breakpoints(reference_params(), 1, F(100))
         for value, expected in [(bp.s_k_m, 107.6052), (bp.s_k, 109.9077),
                                 (bp.s_k_M, 112.2103), (bp.t_k, 116.8155)]:
             assert abs(float(value) - expected) < 1e-4
 
     def test_delta_endpoints(self):
         bp0 = derive_block_breakpoints(reference_params(delta=F(0)), 1,
-                                       F(100), GAP)
+                                       F(100))
         assert bp0.s_k == bp0.s_k_M
         bp1 = derive_block_breakpoints(reference_params(delta=F(1)), 1,
-                                       F(100), GAP)
+                                       F(100))
         assert bp1.s_k == bp1.s_k_m
         assert bp1.t_k == bp1.s_k_M  # the schedule degenerates gracefully
 
     def test_small_start_fails_ordering(self):
         with pytest.raises(TemplateOrderingError) as err:
-            derive_block_breakpoints(reference_params(q1=F(6)), 1, F(6), GAP)
+            derive_block_breakpoints(reference_params(q1=F(6)), 1, F(6))
         assert err.value.inequality == "t_k < u_k"
         assert "q_1 too small" in str(err.value)
 
     def test_declared_identities(self):
-        bp = derive_block_breakpoints(reference_params(), 1, F(100), GAP)
+        bp = derive_block_breakpoints(reference_params(), 1, F(100))
         n, alpha = 2, F(1)
         assert bp.r_k - bp.q_k == (n * n - 1) * alpha
         assert bp.u_k == bp.p_k - (n + 1) * alpha
@@ -99,7 +99,7 @@ class TestBlockBreakpoints:
         #   V = q/(n+1) + n*alpha + (u_k - r_k)/n, must equal q'/(n+1) - alpha
         params = TemplateParams(n=n, w=w, alpha=alpha, delta=F(1, 3), q1=q,
                                 blocks=1, beta=beta)
-        bp = derive_block_breakpoints(params, 1, q, GAP)
+        bp = derive_block_breakpoints(params, 1, q)
         q_a = ((n + 1) * bp.p_k - q) / n
         v_mid = q / (n + 1) + n * alpha + (bp.u_k - bp.r_k) / F(n)
         q_b = (n + 1) * (v_mid + alpha)
@@ -116,23 +116,23 @@ class TestBlockBreakpoints:
 
 class TestBuildBlock:
     def test_first_component_plateau_then_rise(self):
-        block, bp = build_block(reference_params(), 1, F(100), GAP)
+        block, bp = build_block(reference_params(), 1, F(100))
         for q in (F(100), F(110), F(120), bp.p_k):
             assert block.evaluate(q)[0] == F(97, 3)
         assert block.evaluate(147)[0] == 48
         assert block.evaluate(F(140))[0] == F(97, 3) + (140 - bp.p_k)
 
     def test_top_gap_at_p(self):
-        block, bp = build_block(reference_params(), 1, F(100), GAP)
+        block, bp = build_block(reference_params(), 1, F(100))
         row = block.evaluate(bp.p_k)
         assert row[2] - row[1] == 3  # (n+1) * alpha
 
     def test_block_validates(self):
-        block, _ = build_block(reference_params(), 1, F(100), GAP)
+        block, _ = build_block(reference_params(), 1, F(100))
         assert validate(block).is_system
 
     def test_anchor_rows(self):
-        block, bp = build_block(reference_params(), 1, F(100), GAP)
+        block, bp = build_block(reference_params(), 1, F(100))
         assert block.evaluate(100) == (F(97, 3), F(97, 3), F(106, 3))
         end = block.evaluate(bp.q_k1)
         assert end == (48, 48, 51)
@@ -142,7 +142,7 @@ class TestBuildSystem:
     def test_single_block_equals_block(self):
         params = reference_params()
         built = build_system(params)
-        block, _ = build_block(params, 1, F(100), GAP)
+        block, _ = build_block(params, 1, F(100))
         assert built.map == block
 
     def test_q_sequence_recurrence(self):
@@ -187,7 +187,7 @@ class TestBuildSystem:
 class TestBlockFunctionals:
     def test_reference_block_functionals(self):
         params = reference_params()
-        block, bp = build_block(params, 1, F(100), GAP)
+        block, bp = build_block(params, 1, F(100))
         f = block_functionals(block, params, bp)
         assert f.min_di_margin == 1
         assert f.min_di_at == (F(100), F(147))
@@ -199,13 +199,13 @@ class TestBlockFunctionals:
 
     def test_log_mode_peak_is_log_margin(self):
         params = reference_params(beta=None, beta_mode=BETA_LOG)
-        block, bp = build_block(params, 1, F(100), GAP)
+        block, bp = build_block(params, 1, F(100))
         f = block_functionals(block, params, bp)
         assert f.dw_peak == GAP.log(100) == bp.beta_k
 
     def test_functionals_match_dense_sampling(self):
         params = reference_params()
-        block, bp = build_block(params, 1, F(100), GAP)
+        block, bp = build_block(params, 1, F(100))
         f = block_functionals(block, params, bp)
         lo, hi = block.domain
         samples = [lo + (hi - lo) * F(i, 500) for i in range(501)]
