@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .core import (DEFAULT_GAP_BITS, MAX_GAP_BITS, GapFunction, PgnError,
                    PiecewiseLinearMap, format_rational, map_document_rows,
@@ -72,16 +73,17 @@ def _gap_bits_default() -> int:
     return bits
 
 
-def _write_output(path: str | None, text: str):
+def _write_output(path: str | None, text):  # a str or str pieces
+    pieces = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = f"{directory}{os.sep}.pgn-tmp-{os.getpid()}-{os.urandom(6).hex()}"
     handle = open(tmp, "x")  # O_CREAT | O_EXCL, mode 0o666 less the umask
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,24 +94,28 @@ def _write_output(path: str | None, text: str):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _indented_json(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for dicts with string
-    keys, lists and JSON scalars, laid out directly rather than by the
-    pure-Python encoder CPython runs whenever an indent is set.  Strings go
-    through json's own (C) quoting, other scalars through json.dumps."""
-    if type(value) is str:
-        return _quote(value)
-    if isinstance(value, dict) and value:
-        inner = pad + "  "
-        items = [f"{_quote(key)}: {_indented_json(value[key], inner)}"
-                 for key in sorted(value)]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        items = [_quote(item) if type(item) is str
-                 else _indented_json(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    return json.dumps(value)
+def _indented_json(value, pad: str = "", head: str = ""):
+    """The pieces, one per array item and dict entry, of json.dumps(value,
+    indent=2, sort_keys=True) for string-keyed dicts, lists and scalars,
+    laid out directly, not by CPython's pure-Python indenting encoder; the
+    first piece starts with ``head``."""
+    keyed = isinstance(value, dict)
+    if not (value and (keyed or isinstance(value, (list, tuple)))):
+        yield head + (_quote(value) if type(value) is str
+                      else json.dumps(value))
+        return
+    inner, comma = pad + "  ", f",\n{pad}  "
+    sep = head + ("{" if keyed else "[") + "\n" + inner
+    for key in sorted(value) if keyed else value:
+        item = value[key] if keyed else key
+        if keyed:
+            sep += f"{_quote(key)}: "
+        if type(item) is str:
+            yield sep + _quote(item)
+        else:
+            yield from _indented_json(item, inner, sep)
+        sep = comma
+    yield f"\n{pad}{'}' if keyed else ']'}"
 
 
 def _read_input(path: str) -> str:
@@ -215,8 +221,8 @@ def _cmd_build(args) -> int:
         beta_mode=beta_mode, gap_bits=gap_bits, paper_qk1=args.paper_qk1)
     built = build_system(params)
     blocks, doc = built.blocks, built.to_json_dict()
-    del built  # the maps need not live on beside their document's text
-    _write_output(args.out, _indented_json(doc) + "\n")
+    del built  # the maps need not live on while their document is written
+    _write_output(args.out, chain(_indented_json(doc), ("\n",)))
     if args.svg:
         _write_output(args.svg, _block_figure(params, 1, params.q1))
     if args.breakpoints_csv:
@@ -224,16 +230,20 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_system(text: str):
-    """The rows of a system JSON document in integer form (den, breakpoint
-    numerators, value-row numerators), its template parameters (None
-    without a template) and its block starts q_1..q_{K+1}."""
+def _load_system(path: str, profiles: bool = False):
+    """The system JSON document at path as integer rows (den, breakpoint
+    and value-row numerators), template parameters (None without) and block
+    starts q_1..q_{K+1}; with ``profiles``, a profile CSV's MinimaProfile."""
+    text = _read_input(path)
+    if profiles and not text.lstrip().startswith("{"):
+        return profile_from_csv(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:  # e.g. an integer past the digit limit
         raise PgnError(f"system document: {exc}") from exc
+    del text  # not held beside the parsed document while rows are read
     rows = map_document_rows(doc)
     params, starts = system_meta(doc.get("meta", {}))
     if params is not None and params.n != int(doc["n"]):
@@ -242,7 +252,7 @@ def _load_system(text: str):
 
 
 def _cmd_validate(args) -> int:
-    (den, breakpoints, values), _, _ = _load_system(_read_input(args.system))
+    (den, breakpoints, values), _, _ = _load_system(args.system)
     report = validate_raw(breakpoints, values, den)
     for violation in report.violations:
         print(json.dumps(violation.to_json_dict(), sort_keys=True))
@@ -279,11 +289,10 @@ def _cmd_minima(args) -> int:
 
 
 def _load_subject(path: str):
-    text = _read_input(path)
-    if text.lstrip().startswith("{"):
-        rows, params, _ = _load_system(text)
-        return PiecewiseLinearMap.over(*rows), params, None
-    return None, None, profile_from_csv(text)
+    loaded = _load_system(path, profiles=True)
+    if isinstance(loaded, tuple):  # rows, params, starts
+        return PiecewiseLinearMap.over(*loaded[0]), loaded[1], None
+    return None, None, loaded
 
 
 def _cmd_diagnose(args) -> int:
@@ -323,7 +332,7 @@ def _cmd_plot(args) -> int:
     for name, size in (("--width", args.width), ("--height", args.height)):
         if size < 1:
             raise UsageError(f"{name} must be a positive integer, not {size}")
-    rows, params, starts = _load_system(_read_input(args.input))
+    rows, params, starts = _load_system(args.input)
     if args.block is not None:
         if params is None:
             raise UsageError("--block needs template metadata in the file")

@@ -26,8 +26,9 @@ enumeration strategies with bit-identical results:
   complete once the window has full rank.  Each pivot runs over the
   integers its row allows given the earlier pivots, a provably lossless
   pruning of box enumeration; positions with an empty leaf range are
-  skipped before any gauge.  T doubles from 1, or along a profile is set
-  once from the previous point's witnesses.
+  skipped before any gauge.  T doubles from 1, with no scan for a pass
+  that provably adds no pick, or along a profile is set once from the
+  previous point's witnesses.
 
 Selection streams: the scan offers each point to a selector that holds
 at most _COMPACT pairs, however many points the pass covers, cutting them
@@ -433,19 +434,36 @@ def successive_minima(body: GaugeBody, q, bound: int, *,
     return MinimaResult(minima, tuple(witnesses), scale, bound, certified)
 
 
+def _floor(ib: IntegerBody, witnesses) -> int:
+    """A threshold below which no pass can add a pick to ``witnesses``, or
+    0.  Let Z be the rows vanishing on every witness: when the witnesses
+    number dim - |Z|, they span every integer vector on which Z vanishes,
+    so a new pick has a nonzero integer value on some row of Z, and its
+    numerator is at least that row's weight."""
+    zero = [w for (pivot, lead, reads, _), w in zip(ib.rows, ib.weights)
+            if not any(lead * v[pivot] + sum(a * v[j] for j, a in reads)
+                       for v in witnesses)]
+    return min(zero) if len(zero) + len(witnesses) == len(ib.rows) else 0
+
+
 def _cold(body: GaugeBody, ib: IntegerBody, replay=None):
     """Cold doubling: scan thresholds t = den, 2 den, 4 den, ... until the
     window has full rank; the (minima, witnesses) of the last pass.
 
     The picks at T are the prefix of the final picks with lambda <= T, and
-    they alone decide the next T.  So ``replay`` = (minima, witnesses,
+    they alone decide the next T.  So a pass below the _floor of the last
+    picks keeps them without a scan, and ``replay`` = (minima, witnesses,
     fits), the final picks and a threshold known to fit, replays the
-    schedule without scanning; each T past ``fits`` (the scan only grows
-    with T) goes through the size check, which raises what it would."""
+    schedule without scanning.  Each T not scanned (in a replay, each past
+    ``fits``, as the scan only grows with T) goes through the size check,
+    which raises what it would."""
     t, dim = ib.den, body.dim
     jump = min(w for w, (*_, p) in zip(ib.weights, ib.rows) if p > 0)
+    minima, witnesses = [], []
     for _ in range(_MAX_DOUBLINGS):
-        if replay is None:
+        if t < _floor(ib, witnesses):
+            _check_size(ib, ib.radii(t))
+        elif replay is None:
             minima, witnesses = _greedy_minima(_enumerate_within(ib, t), dim)
         else:
             final, chosen, fits = replay

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgn import PiecewiseLinearMap, validate
+from pgn import PgnError, PiecewiseLinearMap, validate
+from pgn import cli as pgn_cli
 from pgn.cli import _build_parser, run
 from pgn.template import TemplateParams, build_system
 
@@ -197,14 +198,18 @@ class TestDigitLimit:
             f"digits; need 10^{limit} or more")
 
     def test_build_refuses_an_unwritable_value(self, capsys, tmp_path):
+        # every literal is formatted before the document's first byte goes
+        # out, so even a streamed stdout gets nothing
         out = tmp_path / "s.json"
-        code, stdout, err = cli(capsys, "build", "--n", "2", "--w", "3",
-                                "--alpha", "1", "--beta", "1/2", "--q1",
-                                "1e4299", "--blocks", "12", "--out", str(out))
         limit = sys.get_int_max_str_digits()
-        assert code == 3 and not stdout and not out.exists()
-        assert err == (f"error: a value with over {limit} digits cannot be "
-                       f"written as text\n")
+        for target in (str(out), "-"):
+            code, stdout, err = cli(capsys, "build", "--n", "2", "--w", "3",
+                                    "--alpha", "1", "--beta", "1/2", "--q1",
+                                    "1e4299", "--blocks", "12", "--out",
+                                    target)
+            assert code == 3 and not stdout and not out.exists()
+            assert err == (f"error: a value with over {limit} digits cannot "
+                           f"be written as text\n")
 
 
 class TestDiagnoseCompare:
@@ -405,6 +410,19 @@ def test_build_writes_the_json_dumps_layout(n, wide, mode, paper, delta,
     assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_layout_pieces_join_to_json_dumps(value):
+    assert "".join(pgn_cli._indented_json(value)) == json.dumps(
+        value, indent=2, sort_keys=True)
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
                                              (0o002, 0o664)],
@@ -441,6 +459,77 @@ class TestOutputFiles:
                 run([*BUILD, "--out", str(target)])
         assert target.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["system.json"]
+
+    def test_failing_pieces_leave_no_target_and_no_temporary(self, tmp_path):
+        target = tmp_path / "system.json"
+
+        def pieces():  # past the write buffer, so the temporary has bytes
+            for _ in range(8):
+                yield "[" * 4096
+            raise PgnError("layout failed")
+
+        with pytest.raises(PgnError, match="layout failed"):
+            pgn_cli._write_output(str(target), pieces())
+        assert list(tmp_path.iterdir()) == []
+
+
+# a 600-block system: a document of about 2.4 MB
+BIG = ["build", "--n", "2", "--w", "4", "--alpha", "3/2", "--beta", "1/2",
+       "--delta", "3/8", "--q1", "1000", "--blocks", "600"]
+
+
+@pytest.fixture(scope="module")
+def big_system(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "system.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*BIG, "--out", str(path)]) == 0
+    return path
+
+
+class TestDocumentMemory:
+    def test_build_streams_its_document(self, tmp_path, monkeypatch,
+                                        big_system):
+        """Laying out and writing the document adds under a quarter of its
+        size to what the built document already holds: tracing starts at
+        the layout, so only what comes after is counted."""
+        layout = pgn_cli._indented_json
+
+        def traced(*args):
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return layout(*args)
+
+        monkeypatch.setattr(pgn_cli, "_indented_json", traced)
+        out = tmp_path / "system.json"
+        try:
+            assert run([*BIG, "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == big_system.read_bytes()
+        assert peak < out.stat().st_size / 4
+
+    @pytest.mark.parametrize("reader", ["_load_system", "_load_subject"])
+    def test_readers_drop_the_text_before_the_rows(self, monkeypatch,
+                                                   big_system, reader):
+        """While map_document_rows runs, no live allocation is half the
+        size of the text: the parsed document is many small objects, and
+        the text, one block, is gone."""
+        rows, largest = pgn_cli.map_document_rows, []
+
+        def traced(doc):
+            traces = tracemalloc.take_snapshot().traces
+            largest.append(max(trace.size for trace in traces))
+            return rows(doc)
+
+        monkeypatch.setattr(pgn_cli, "map_document_rows", traced)
+        tracemalloc.start()
+        try:
+            getattr(pgn_cli, reader)(str(big_system))
+        finally:
+            tracemalloc.stop()
+        assert len(largest) == 1
+        assert largest[0] < big_system.stat().st_size / 2
 
 
 # stdlib chains no pgn command runs; a fresh interpreter importing pgn.cli

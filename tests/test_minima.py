@@ -510,6 +510,78 @@ def test_a_rank_deficient_pass_holds_few_pairs():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("q, points", [(F(-5, 2), 77_825_288),
+                                       (F(-7, 2), 71_876_484)])
+def test_passes_below_full_rank_are_not_scanned(q, points):
+    # the picks stay at rank 2 of 3 up to the desk-scale limit; scanning
+    # each of those passes took 20 s and 40 s before the same refusal
+    start = time.perf_counter()
+    with pytest.raises(PgnError) as refusal:
+        successive_minima_certified(
+            GaugeBody(SIMULTANEOUS, (F(-1, 2), F(2, 5))), q)
+    assert time.perf_counter() - start < 5
+    assert str(refusal.value) == (f"desk-scale limit: certifying minima at "
+                                  f"this point needs a scan of {points} "
+                                  f"points")
+
+
+def _counted_cold(body, scale, floor=None):
+    """The certified result (or refusal text) at an exact scale, and how
+    many passes went without a scan; with ``floor``, _floor is replaced."""
+    counts = {"checks": 0, "scans": 0}
+    check, scan = minima._check_size, minima._enumerate_within
+
+    def counted_check(*args):
+        counts["checks"] += 1
+        return check(*args)
+
+    def counted_scan(*args):
+        counts["scans"] += 1
+        return scan(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minima, "_check_size", counted_check)
+        patch.setattr(minima, "_enumerate_within", counted_scan)
+        if floor is not None:
+            patch.setattr(minima, "_floor", floor)
+        result = _certified_result(body, scale)
+    return result, counts["checks"] - counts["scans"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(-1, 1, max_denominator=6), min_size=1,
+                max_size=2),
+       st.one_of(st.sampled_from([F(1, 4), F(1, 8), F(1, 16)]),
+                 st.fractions(F(1, 24), F(1, 4), max_denominator=24)),
+       st.integers(1, 64), st.sampled_from([2, 3, 80]))
+def test_passes_below_full_rank_skip_to_the_scanned_result(x, scale, room,
+                                                           doublings):
+    """At a scale E of 1/4 or less the simultaneous picks stay at rank m
+    past the first pass: off v_0 = 0 the v_0 row costs E^-m, and on it the
+    unit vectors cost E.  A power of two E^-m is a threshold itself, where
+    the next pick may join.  Not scanning the passes below it gives
+    what scanning them gives, refusals included (the desk-scale limit is
+    ``room`` times the first pass, and a pass not scanned still counts
+    toward the limit of ``doublings`` passes), and, when certified, what
+    box enumeration to the certificate bound gives.  (A linear-form body
+    has no such pass the form-kernel jump does not already cross: its
+    unit rows cost 1, the first threshold.)"""
+    body = GaugeBody(SIMULTANEOUS, tuple(x))
+    ib = minima.IntegerBody(body, scale)
+    limit = room * minima._scan_points(ib, ib.radii(ib.den))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minima, "_MAX_WINDOW_POINTS", limit)
+        patch.setattr(minima, "_MAX_DOUBLINGS", doublings)
+        skipped, unscanned = _counted_cold(body, scale)
+        scanned, none = _counted_cold(body, scale, lambda ib, picks: 0)
+    assert skipped == scanned and none == 0
+    assert unscanned >= 1
+    if not isinstance(skipped, str):
+        box = successive_minima(body, 0, skipped.bound, scale=scale)
+        assert (box.minima, box.witnesses) == (skipped.minima,
+                                               skipped.witnesses)
+
+
 class TestMinkowski:
     def test_diagonal_profile_margins(self):
         body = GaugeBody(LINEAR_FORM, (F(0),))
