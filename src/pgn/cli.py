@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .core import (DEFAULT_GAP_BITS, MAX_GAP_BITS, GapFunction, PgnError,
                    PiecewiseLinearMap, format_rational, map_document_rows,
@@ -73,17 +74,25 @@ def _gap_bits_default() -> int:
     return bits
 
 
+def _chunks(pieces, size: int = 256):
+    """The pieces joined ``size`` at a time: one write per group, not per
+    piece, while no more than a group is held joined."""
+    pieces = iter(pieces)
+    while group := list(islice(pieces, size)):
+        yield "".join(group)
+
+
 def _write_output(path: str | None, text):  # a str or str pieces
-    pieces = [text] if isinstance(text, str) else text
+    chunks = [text] if isinstance(text, str) else _chunks(text)
     if path is None or path == "-":
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = f"{directory}{os.sep}.pgn-tmp-{os.getpid()}-{os.urandom(6).hex()}"
     handle = open(tmp, "x")  # O_CREAT | O_EXCL, mode 0o666 less the umask
     try:
         with handle:
-            handle.writelines(pieces)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -426,11 +435,18 @@ _COMMANDS = {
 
 def _build_parser(command: str | None = None) -> _Parser:
     """The parser, with only ``command``'s subparser when it names one
-    (argparse dispatches on the first token alone), else with all."""
+    (argparse dispatches on the first token alone), else with all.  Each is
+    built once per process: parse_args leaves a parser as it was, and a
+    token naming no command keys the full one, so at most seven are kept."""
+    return _parser(command if command in _COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> _Parser:
     parser = _Parser(prog="pgn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args, func) in _COMMANDS.items():
-        if command in _COMMANDS and name != command:
+        if command is not None and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
         add_args(p)

@@ -239,15 +239,18 @@ def _least_basis(pairs, dim: int):
     magnitudes then lexicographically, and picked greedily subject to
     exact linear independence; matroid exchange makes the greedy choice
     optimal.  As den is shared and positive, the sort is on the integer g
-    alone; the tie-break sorts only the runs of equal g the greedy reaches
-    before it has dim picks."""
+    alone; the tie-break sorts only the runs of equal g, of more than one
+    pair, that the greedy reaches before it has dim picks."""
     pairs.sort(key=itemgetter(0))
     tracker = _RankTracker()
     minima: list[int] = []
     witnesses: list[tuple[int, ...]] = []
     for g, run in groupby(pairs, key=itemgetter(0)):
-        for _, vec in sorted(run, key=lambda item: (
-                tuple(abs(c) for c in item[1]), item[1])):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda item: (tuple(abs(c) for c in item[1]),
+                                       item[1]))
+        for _, vec in run:
             if tracker.try_add(vec):
                 minima.append(g)
                 witnesses.append(vec)
@@ -305,11 +308,16 @@ def _scan(ib: IntegerBody, radii, sink, bound: int = 0):
     _check_size(ib, radii, bound)
     levels = [(pivot, lead, reads, w, r) for (pivot, lead, reads, _), w, r
               in zip(ib.rows, ib.weights, radii)]
-    _scan_level(levels, bound, 0, [0] * len(levels), 0, True, sink)
+    # the leaf row's coefficient on the pivot above it, and its other reads
+    above, reads = levels[-2][0], levels[-1][2]
+    step = sum(a for j, a in reads if j == above)
+    others = tuple((j, a) for j, a in reads if j != above)
+    _scan_level(levels, bound, 0, [0] * len(levels), 0, True, sink,
+                step, others)
     return sink
 
 
-def _scan_level(levels, bound, k, vec, best, free, sink):
+def _scan_level(levels, bound, k, vec, best, free, sink, step, others):
     pivot, lead, reads, weight, radius = levels[k]
     s = sum(a * vec[j] for j, a in reads)
     if radius is None:
@@ -321,14 +329,14 @@ def _scan_level(levels, bound, k, vec, best, free, sink):
             vec[pivot] = v
             g = abs(lead * v + s) * weight
             _scan_level(levels, bound, k + 1, vec,
-                        g if g > best else best, free and not v, sink)
+                        g if g > best else best, free and not v, sink,
+                        step, others)
         return
     # the level above the leaf runs the leaf's range itself, with no call
     # per v; its row sum is base + step * v.  Most leaf ranges of a window
     # are empty, and a u exists iff (radius - leaf_s) % leaf_lead <= 2 radius
-    leaf, leaf_lead, leaf_reads, leaf_weight, leaf_radius = levels[k + 1]
-    step = sum(a for j, a in leaf_reads if j == pivot)
-    base = sum(a * vec[j] for j, a in leaf_reads if j != pivot)
+    leaf, leaf_lead, _, leaf_weight, leaf_radius = levels[k + 1]
+    base = sum(a * vec[j] for j, a in others)
     u_lo, u_hi = -bound, bound
     span = None if leaf_radius is None else 2 * leaf_radius
     covered = 0
@@ -454,23 +462,26 @@ def _cold(body: GaugeBody, ib: IntegerBody, replay=None):
     they alone decide the next T.  So a pass below the _floor of the last
     picks keeps them without a scan, and ``replay`` = (minima, witnesses,
     fits), the final picks and a threshold known to fit, replays the
-    schedule without scanning.  Each T not scanned (in a replay, each past
-    ``fits``, as the scan only grows with T) goes through the size check,
-    which raises what it would."""
+    schedule without scanning.  Each T not scanned goes through the size
+    check, which raises what it would.  A replay checks only each T past
+    ``fits``: one at or below it passes, as the scan only grows with T.  A
+    replay needs no _floor either: below the floor of the picks held, no
+    final pick beyond them has lambda <= T, so the prefix it takes is the
+    picks a skip would keep."""
     t, dim = ib.den, body.dim
     jump = min(w for w, (*_, p) in zip(ib.weights, ib.rows) if p > 0)
     minima, witnesses = [], []
     for _ in range(_MAX_DOUBLINGS):
-        if t < _floor(ib, witnesses):
-            _check_size(ib, ib.radii(t))
-        elif replay is None:
-            minima, witnesses = _greedy_minima(_enumerate_within(ib, t), dim)
-        else:
+        if replay is not None:
             final, chosen, fits = replay
             if t > fits:
                 _check_size(ib, ib.radii(t))
             minima = [g for g in final if g <= t]
             witnesses = chosen[:len(minima)]
+        elif t < _floor(ib, witnesses):
+            _check_size(ib, ib.radii(t))
+        else:
+            minima, witnesses = _greedy_minima(_enumerate_within(ib, t), dim)
         if len(minima) == dim:
             return minima, witnesses
         t *= 2
@@ -555,11 +566,17 @@ def proxy_horizon(body: GaugeBody) -> int:
 
 def minima_profile(body: GaugeBody, grid, *, bound="auto",
                    gap: GapFunction = _DEFAULT_GAP) -> MinimaProfile:
+    """The minima of ``body`` at each q of the increasing ``grid``: window
+    enumeration for bound "auto", else box enumeration to that bound.  Each
+    point starts from the last certified point's witnesses, and a refused
+    point records its refusal text.  Each distinct minimum of the profile
+    gets one log: equal Fractions have equal logs."""
     grid = tuple(Fraction(g) for g in grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise PgnError("grid must be strictly increasing")
     points = []
     start = None  # the last certified point's witnesses
+    logs = {}  # one log per distinct minimum, for this call alone
     for q in grid:
         try:
             if bound == "auto":
@@ -569,8 +586,13 @@ def minima_profile(body: GaugeBody, grid, *, bound="auto",
                 res = successive_minima(body, q, int(bound), gap=gap,
                                         start=start)
             start = res.witnesses
-            points.append(GridPoint(q, res.minima,
-                                    tuple(gap.log(v) for v in res.minima),
+            row = []
+            for v in res.minima:
+                key = v.numerator, v.denominator  # hashes faster than v
+                if key not in logs:
+                    logs[key] = gap.log(v)
+                row.append(logs[key])
+            points.append(GridPoint(q, res.minima, tuple(row),
                                     res.witnesses))
         except PgnError as exc:
             start = None

@@ -579,6 +579,50 @@ class TestParser:
         for name in self._commands(_build_parser()):
             assert name in text
 
+    def test_each_parser_is_built_once(self, capsys):
+        assert _build_parser("minima") is _build_parser("minima")
+        assert _build_parser("bogus") is _build_parser()
+        unknown = ["bogus", "other", "--help", *(f"x{i}" for i in range(8))]
+        for token in unknown:
+            try:
+                run([token])
+            except SystemExit:
+                pass
+        for name in self._commands(_build_parser()):
+            _build_parser(name)
+        capsys.readouterr()
+        assert pgn_cli._parser.cache_info().currsize <= 7
+
+    def test_reused_parsers_give_the_runs_of_fresh_processes(
+            self, capsys, monkeypatch, tmp_path):
+        """Runs of one command with other options, in one process, write
+        what each writes alone in a new process."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        minima = ["minima", "--x", "1/3,-2/7", "--grid", "0:2:1/2"]
+        runs = [[*minima, "--bound", "5", "--out", "a.csv"], minima,
+                [*minima, "--mode", "simultaneous", "--out", "b.csv"],
+                [*BUILD, "--out", "s.json"], [*BUILD, "--blocks", "2"],
+                ["plot", "--input", "s.json", "--no-guides", "--out", "a.svg"],
+                ["plot", "--input", "s.json", "--out", "b.svg"]]
+        here, fresh = tmp_path / "in-process", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for argv in runs:
+            code = run(list(argv))
+            out, err = capsys.readouterr()
+            done = subprocess.run([sys.executable, "-m", "pgn.cli", *argv],
+                                  cwd=fresh, env=env, capture_output=True,
+                                  text=True)
+            assert (code, out, err) == (done.returncode, done.stdout,
+                                        done.stderr), argv
+        files = sorted(path.name for path in here.iterdir())
+        assert files == sorted(path.name for path in fresh.iterdir())
+        assert len(files) == 5
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

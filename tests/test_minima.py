@@ -200,6 +200,27 @@ class TestProfiles:
         with pytest.raises(PgnError):
             minima_profile(GaugeBody(LINEAR_FORM, (F(0),)), [F(1), F(1)])
 
+    @pytest.mark.parametrize("mode,bound", [(LINEAR_FORM, "auto"),
+                                            (SIMULTANEOUS, "auto"),
+                                            (LINEAR_FORM, 12)])
+    def test_one_log_per_distinct_minimum(self, monkeypatch, mode, bound):
+        log, logged = GapFunction.log, []
+
+        def counted(gap, value):
+            logged.append(value)
+            return log(gap, value)
+
+        monkeypatch.setattr(GapFunction, "log", counted)
+        body = GaugeBody(mode, (F(1, 3), F(2, 7)))
+        prof = minima_profile(body, [F(k, 2) for k in range(7)], bound=bound)
+        monkeypatch.undo()
+        assert prof.valid == prof.points
+        minima = [v for p in prof.points for v in p.minima]
+        assert sorted(logged) == sorted(set(minima))
+        assert len(logged) < len(minima)
+        for p in prof.points:
+            assert p.logs == tuple(GAP.log(v) for v in p.minima)
+
 
 def _cold_point(body, q):
     """One grid point alone: cold doubling, or its refusal text."""
@@ -250,6 +271,44 @@ class TestWarmStart:
         assert _point_rows(prof) == [_cold_point(body, q) for q in grid]
 
     @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
+    def test_replays_need_no_floor(self, monkeypatch, mode):
+        """A replay takes the prefix of the final picks at each threshold:
+        with _floor raising inside every replay, profiles still give the
+        rows of the cold points, refusals included."""
+        cold, replays, refused = minima._cold, [], []
+
+        def no_floor(ib, witnesses):
+            raise AssertionError("a replay asked _floor")
+
+        def cold_or_replay(body, ib, replay=None):
+            if replay is None:
+                return cold(body, ib)
+            replays.append(replay)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(minima, "_floor", no_floor)
+                try:
+                    return cold(body, ib, replay)
+                except PgnError:
+                    refused.append(replay)
+                    raise
+
+        rng = random.Random(mode)
+        for limit in (30, 300, 1000, 3000):
+            monkeypatch.setattr(minima, "_MAX_WINDOW_POINTS", limit)
+            for _ in range(8):
+                x = tuple(F(rng.randint(-60, 60), rng.randint(1, 60))
+                          for _ in range(rng.choice([1, 2])))
+                body = GaugeBody(mode, x)
+                start = F(rng.randint(-4, 4), 2)
+                grid = [start + F(k, 4) for k in range(rng.randint(4, 12))]
+                rows = [_cold_point(body, q) for q in grid]
+                with monkeypatch.context() as patch:
+                    patch.setattr(minima, "_cold", cold_or_replay)
+                    prof = minima_profile(body, grid)
+                assert _point_rows(prof) == rows
+        assert replays and refused
+
+    @pytest.mark.parametrize("mode", [LINEAR_FORM, SIMULTANEOUS])
     def test_one_window_pass_per_point_after_the_first(self, monkeypatch,
                                                        mode):
         calls = []
@@ -283,12 +342,14 @@ def _certified_result(body, scale, start=None):
        st.lists(st.fractions(-2, 2, max_denominator=7), min_size=1,
                 max_size=3),
        st.fractions(F(1, 3), 3, max_denominator=4),
-       st.sampled_from([30, 300, minima._MAX_WINDOW_POINTS]), st.data())
+       st.sampled_from([30, 300, 200_000]), st.data())
 def test_certified_with_any_start_equals_the_cold_call(mode, x, scale, limit,
                                                        data):
     """Seeds that are flipped, repeated, zero, of the wrong length or
     dependent change nothing: the same minima, witnesses and scale, or the
-    same refusal text."""
+    same refusal text.  The limits drawn stop at 200,000 points: at the
+    desk-scale limit itself some draws scan millions of points, for
+    minutes, and 30 and 300 already bring refusals."""
     body = GaugeBody(mode, tuple(x))
     dim = body.dim
     with pytest.MonkeyPatch.context() as patch:
