@@ -14,9 +14,9 @@ from .diagnostics import (ComparisonReport, DiagnosticsReport, analyze,
                           profile_interpolant, profile_kernel_locked)
 from .minima import (BoundTooSmallError, GaugeBody, GridPoint, LINEAR_FORM,
                      MinimaProfile, MinimaResult, MinkowskiReport,
-                     SIMULTANEOUS, gauge, gauge_at_scale, is_form_kernel,
-                     minima_profile, minkowski_check, profile_from_csv,
-                     profile_to_csv, proxy_horizon, successive_minima,
+                     SIMULTANEOUS, gauge_at_scale, minima_profile,
+                     minkowski_check, profile_from_csv, profile_to_csv,
+                     proxy_horizon, successive_minima,
                      successive_minima_certified)
 from .svg import PlotSpec, render_svg
 from .template import (BETA_BOUNDED, BETA_LOG, BlockBreakpoints,

@@ -82,9 +82,9 @@ def _chunks(pieces, size: int = 256):
         yield "".join(group)
 
 
-def _write_output(path: str | None, text):  # a str or str pieces
+def _write_output(path: str, text):  # a str or str pieces
     chunks = [text] if isinstance(text, str) else _chunks(text)
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
@@ -284,8 +284,7 @@ def _parse_bound(text: str) -> int:
 def _cmd_minima(args) -> int:
     gap = GapFunction(_gap_bits_default())
     x = tuple(parse_rational(part) for part in args.x.split(","))
-    mode = LINEAR_FORM if args.mode == "linear-form" else SIMULTANEOUS
-    body = GaugeBody(mode, x)
+    body = GaugeBody(args.mode, x)
     grid = _parse_grid(args.grid)
     bound = "auto" if args.bound == "auto" else _parse_bound(args.bound)
     profile = minima_profile(body, grid, bound=bound, gap=gap)
@@ -388,8 +387,8 @@ def _validate_args(p):
 
 
 def _minima_args(p):
-    p.add_argument("--mode", choices=["linear-form", "simultaneous"],
-                   default="linear-form")
+    p.add_argument("--mode", choices=[LINEAR_FORM, SIMULTANEOUS],
+                   default=LINEAR_FORM)
     p.add_argument("--x", required=True,
                    help="comma-separated rational target coordinates")
     p.add_argument("--grid", required=True, help="start:stop:step")

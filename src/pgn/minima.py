@@ -166,18 +166,6 @@ def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
     return IntegerBody(body, Fraction(scale)).gauge(vec)
 
 
-def gauge(body: GaugeBody, q, vec,
-          gap: GapFunction = _DEFAULT_GAP) -> Fraction:
-    return gauge_at_scale(body, gap.exp(q), vec)
-
-
-def is_form_kernel(body: GaugeBody, vec) -> bool:
-    """True when the scaled constraints vanish exactly on vec, so its gauge
-    never grows with the parameter (the hallmark of an exactly rational
-    target at desk scale)."""
-    return body.is_kernel(tuple(int(c) for c in vec))
-
-
 class _RankTracker:
     """Exact incremental rank of integer vectors by fraction-free
     elimination: each kept row is an integer vector with its pivot."""
@@ -456,7 +444,8 @@ def _floor(ib: IntegerBody, witnesses) -> int:
 
 def _cold(body: GaugeBody, ib: IntegerBody, replay=None):
     """Cold doubling: scan thresholds t = den, 2 den, 4 den, ... until the
-    window has full rank; the (minima, witnesses) of the last pass.
+    window has full rank; the (minima, witnesses) of the last pass, which
+    for a replay are its final picks.
 
     The picks at T are the prefix of the final picks with lambda <= T, and
     they alone decide the next T.  So a pass below the _floor of the last
@@ -514,17 +503,15 @@ def successive_minima_certified(
     """
     scale = gap.exp(q) if scale is None else Fraction(scale)
     ib = IntegerBody(body, scale)
-    picks = None
+    replay = None
     seeds = [w for w in start or () if len(w) == body.dim and any(w)]
     if seeds:
         t = max(ib.numerator(w) for w in seeds)
         if _scan_points(ib, ib.radii(t)) <= _MAX_WINDOW_POINTS:
             picks = _greedy_minima(_enumerate_within(ib, t), body.dim)
-            if len(picks[0]) < body.dim:
-                picks = None
-            else:
-                _cold(body, ib, (*picks, t))
-    nums, witnesses = picks or _cold(body, ib)
+            if len(picks[0]) == body.dim:
+                replay = (*picks, t)
+    nums, witnesses = _cold(body, ib, replay)
     minima = tuple(Fraction(g, ib.den) for g in nums)
     return MinimaResult(minima, tuple(witnesses), scale,
                         ib.reach(minima[-1]), True)
@@ -696,7 +683,7 @@ def profile_from_csv(text: str) -> MinimaProfile:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if "=" in body and not body.startswith("proxy-horizon"):
+            if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
             continue

@@ -105,6 +105,8 @@ class TemplateParams:
         if self.beta_mode == BETA_BOUNDED:
             if self.beta is None or self.beta <= 0:
                 raise PgnError("bounded beta mode needs beta > 0")
+        elif self.beta is not None:
+            raise PgnError("log beta mode takes no beta")
         if self.q1 < (self.n + 1) * self.alpha:
             raise PgnError(
                 f"q1 = {self.q1} < (n+1)*alpha = {(self.n + 1) * self.alpha}; "
@@ -159,7 +161,8 @@ def _derive(params: TemplateParams, k: int, q_k: Fraction
     s_k, s_k^M, t_k, u_k, p_k, q_{k+1}, alpha and beta_k over one
     denominator D, keyed q, r, sm, s, sM, t, u, p, q1, a, b.  D is the lcm
     of the denominators of q_k, alpha, log(q_k) and beta_k times delta's
-    and w's denominators, n and n+1, so every formula divides exactly."""
+    and w's denominators, n - 1, n and n + 1, so every formula, and each
+    gain of build_block, divides exactly."""
     n, w, alpha, delta = params.n, params.w, params.alpha, params.delta
 
     def fail(ineq: str, lhs, rhs):
@@ -180,7 +183,7 @@ def _derive(params: TemplateParams, k: int, q_k: Fraction
     wn, wd = w.numerator, w.denominator
     dn, dd = delta.numerator, delta.denominator
     den = math.lcm(q_k.denominator, alpha.denominator, g.denominator,
-                   beta_k.denominator) * dd * wd * n * (n + 1)
+                   beta_k.denominator) * dd * wd * (n - 1) * n * (n + 1)
     q, a, g, b = (v.numerator * (den // v.denominator)
                   for v in (q_k, alpha, g, beta_k))
     r = q + (n * n - 1) * a
@@ -222,17 +225,13 @@ def _schedule(n: int) -> list[tuple[int, int]]:
 
 def build_block(params: TemplateParams, k: int, q_k
                 ) -> tuple[PiecewiseLinearMap, BlockBreakpoints]:
-    """One block on [q_k, q_{k+1}] with its junction identities verified.
-
-    The rows are numerators over the breakpoints' denominator times n-1,
-    so that each gain (b - a)/size divides exactly."""
+    """One block on [q_k, q_{k+1}] with its junction identities verified;
+    the rows are numerators over the breakpoints' denominator."""
     bp, den, nums = _derive(params, k, Fraction(q_k))
     n, w = params.n, params.w
     wn, wd = w.numerator, w.denominator
-    den *= n - 1
-    q, r, s, t, u, p, q1, a, b = (nums[key] * (n - 1) for key in
-                                  ("q", "r", "s", "t", "u", "p", "q1", "a",
-                                   "b"))
+    q, r, s, t, u, p, q1, a, b = (nums[key] for key in (
+        "q", "r", "s", "t", "u", "p", "q1", "a", "b"))
     points = [q, r, s, t, u, p, q1]
     low = q // (n + 1) - a
     rows: list[list[int]] = [[low] * n + [low + (n + 1) * a]]

@@ -300,6 +300,21 @@ class TestDiagnoseCompare:
         assert report["within_rn"] is True
 
 
+    def test_compare_counts_only_the_points_inside_the_domain(self, capsys,
+                                                              tmp_path):
+        system = tmp_path / "system.json"
+        prof = tmp_path / "profile.csv"
+        system.write_text(json.dumps({
+            "n": 2, "breakpoints": ["0", "2"],
+            "values": [["0", "0", "0"], ["0", "0", "2"]]}))
+        cli(capsys, "minima", "--x", "1/3,1/7", "--grid", "0:4:1",
+            "--out", str(prof))
+        code, stdout, _ = cli(capsys, "compare", "--system", str(system),
+                              "--profile", str(prof))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["points"] == 3 and report["overlap"] == ["0", "2"]
+
     @pytest.mark.parametrize("w", ["-1", "-3/2", "-7"])
     @pytest.mark.parametrize("make", [
         BUILD + ["--out"],
@@ -1111,6 +1126,28 @@ class TestSystemDocuments:
                                   "need a common denominator of over ")
             assert len(err.strip().splitlines()) == 1
             assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("argv", [["validate"], ["plot", "--input"]],
+                             ids=["validate", "plot"])
+    def test_log_mode_template_with_beta_exits_3(self, capsys, tmp_path,
+                                                 argv):
+        out = tmp_path / "system.json"
+        cli(capsys, "build", "--n", "2", "--w", "3", "--alpha", "1",
+            "--beta-mode", "log", "--q1", "100", "--blocks", "2",
+            "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["meta"]["template"]["beta"] = "1/2"
+        code, stdout, err = cli(capsys, *argv, self._write(tmp_path, doc))
+        assert code == 3 and not stdout
+        assert err == "error: log beta mode takes no beta\n"
+
+    def test_log_mode_build_ignores_beta(self, capsys):
+        code, stdout, _ = cli(capsys, "build", "--n", "2", "--w", "3",
+                              "--alpha", "1", "--beta-mode", "log",
+                              "--beta", "1/2", "--q1", "100", "--blocks", "2")
+        assert code == 0
+        template = json.loads(stdout)["meta"]["template"]
+        assert template["beta_mode"] == "log" and "beta" not in template
 
     def test_built_systems_pass_the_widening_check(self, capsys, tmp_path):
         out = tmp_path / "system.json"

@@ -508,6 +508,32 @@ class TestSupDistance:
         assert sup_distance(a, b) == sup_distance(b, a) > 0
 
 
+def _zero_map(lo, hi, width=2):
+    return PiecewiseLinearMap((F(lo), F(hi)), ((F(0),) * width,) * 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GapFunction(7), PgnError,
+     "GapFunction needs at least 8 fractional bits"),
+    (lambda: sup_distance(_zero_map(0, 1), _zero_map(0, 2), (0, 3)),
+     DomainError,
+     "interval [0, 3] not contained in both domains (common part [0, 1])"),
+    (lambda: concatenate([]), PgnError, "nothing to concatenate"),
+    (lambda: concatenate([_zero_map(0, 1)], junction="left"), PgnError,
+     "unknown junction policy 'left'"),
+    (lambda: concatenate([_zero_map(0, 1, 2), _zero_map(1, 2, 3)]),
+     DomainError, "component counts differ across pieces"),
+    (lambda: concatenate([_zero_map(0, 1), _zero_map(2, 3)]), DomainError,
+     "pieces do not abut: 1 then 2")],
+    ids=["gap-bits", "interval-outside", "concatenate-none",
+         "junction-policy", "component-counts", "not-abutting"])
+def test_refusals(call, error, message):
+    with pytest.raises(PgnError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestBreakpointsOf:
     def test_single_segment(self):
         m = PiecewiseLinearMap((F(0), F(1)), ((F(0), F(0)), (F(1), F(1))))

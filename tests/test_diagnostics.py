@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pgn import (GapFunction, GaugeBody, GridPoint, LINEAR_FORM,
                  MinimaProfile, PgnError, PiecewiseLinearMap, analyze,
-                 analyze_profile, compare_system_profile, is_form_kernel,
-                 minima_profile, profile_interpolant, profile_kernel_locked)
+                 analyze_profile, compare_system_profile, minima_profile,
+                 profile_interpolant, profile_kernel_locked)
 from pgn.diagnostics import _last_local_min
 from pgn.template import TemplateParams, block_functionals, build_system
 
@@ -151,10 +151,10 @@ class TestTailWalk:
     ((F(414213, 1000000),), range(0, 8), False),
     ((F(5, 17), F(-4, 11)), [F(k, 2) for k in range(-2, 6)], False)],
     ids=["zero", "two-thirds", "half-third", "sqrt2-proxy", "free-pair"])
-def test_kernel_lock_agrees_with_is_form_kernel_per_witness(x, grid, locked):
+def test_kernel_lock_agrees_with_is_kernel_per_witness(x, grid, locked):
     body = GaugeBody(LINEAR_FORM, x)
     prof = minima_profile(body, grid)
-    per_point = [is_form_kernel(body, p.witnesses[0]) for p in prof.valid]
+    per_point = [body.is_kernel(p.witnesses[0]) for p in prof.valid]
     assert any(per_point) is locked
     assert profile_kernel_locked(prof) is locked
     for p, expected in zip(prof.valid, per_point):

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgn import (BoundTooSmallError, GapFunction, GaugeBody, LINEAR_FORM,
-                 PgnError, SIMULTANEOUS, gauge, gauge_at_scale,
-                 is_form_kernel, minima, minima_profile, minkowski_check,
-                 profile_from_csv, profile_to_csv, successive_minima,
+                 PgnError, SIMULTANEOUS, gauge_at_scale, minima,
+                 minima_profile, minkowski_check, profile_from_csv,
+                 profile_to_csv, successive_minima,
                  successive_minima_certified)
 
 from oracles import (cf_lambda1, integer_rank, oracle_gauge,
@@ -26,11 +26,11 @@ GAP = GapFunction()
 class TestGauge:
     def test_box_coordinate_only(self):
         body = GaugeBody(LINEAR_FORM, (F(0),))
-        assert gauge(body, 1, (0, 1)) == 1
+        assert gauge_at_scale(body, GAP.exp(1), (0, 1)) == 1
 
     def test_pure_form_coordinate(self):
         body = GaugeBody(LINEAR_FORM, (F(0),))
-        assert gauge(body, 2, (1, 0)) == GAP.exp(2)
+        assert gauge_at_scale(body, GAP.exp(2), (1, 0)) == GAP.exp(2)
 
     def test_kernel_vector_hand_value(self):
         body = GaugeBody(LINEAR_FORM, (F(1, 2),))
@@ -150,7 +150,7 @@ class TestProfiles:
             if GAP.exp(p.q) >= 9:
                 assert p.minima[0] == 3
                 assert p.logs[0] == log3
-                assert is_form_kernel(body, p.witnesses[0])
+                assert body.is_kernel(p.witnesses[0])
 
     def test_first_minimum_nondecreasing_in_q(self):
         rng = random.Random(3)
@@ -414,6 +414,39 @@ def test_a_scale_of_zero_or_below_is_refused(mode, scale, call):
     with pytest.raises(PgnError, match="^the body scale must be positive, "
                                        f"got {scale}$"):
         call(body, scale)
+
+
+_META = "# mode=linear-form\n# x=2/3\n"
+_HEADER = "q,lambda_1,lambda_2,L_1,L_2,witness_1,witness_2,error\n"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaugeBody("bogus", (F(1, 3),)), "unknown body mode 'bogus'"),
+    (lambda: GaugeBody(LINEAR_FORM, ()),
+     "the body needs at least one target coordinate"),
+    (lambda: successive_minima(GaugeBody(LINEAR_FORM, (F(1, 3),)), 0, 0),
+     "enumeration bound must be at least 1"),
+    (lambda: profile_from_csv(_META + _HEADER + "0,1,1,0,0,a;b,1;0,\n"),
+     "profile witness 'a;b' is not integers"),
+    (lambda: profile_from_csv("# x=2/3\n" + _HEADER),
+     "profile file missing metadata 'mode'"),
+    (lambda: profile_from_csv(_META + "0,1,1,0,0,0;1,1;0,\n"),
+     "profile file missing the CSV header row")],
+    ids=["body-mode", "no-target", "bound-zero", "witness-cell",
+         "no-mode", "no-header"])
+def test_refusals(call, message):
+    with pytest.raises(PgnError) as info:
+        call()
+    assert type(info.value) is PgnError
+    assert str(info.value) == message
+
+
+def test_blank_profile_lines_are_skipped():
+    text = profile_to_csv(minima_profile(GaugeBody(LINEAR_FORM, (F(2, 3),)),
+                                         range(0, 4)))
+    spaced = "\n\n".join(text.splitlines()) + "\n  \n"
+    assert spaced != text
+    assert profile_from_csv(spaced) == profile_from_csv(text)
 
 
 def _box_result(body, bound, scale, require, start=None):

@@ -270,3 +270,36 @@ class TestParamValidation:
     def test_bounded_mode_needs_beta(self):
         with pytest.raises(PgnError):
             reference_params(beta=None)
+
+
+@pytest.mark.parametrize("call, error, message, inequality", [
+    (lambda: reference_params(n=1), PgnError,
+     "dimension n must be at least 2", None),
+    (lambda: reference_params(alpha=0), PgnError, "alpha must be positive",
+     None),
+    (lambda: reference_params(blocks=0), PgnError, "need at least one block",
+     None),
+    (lambda: reference_params(beta_mode="cubic"), PgnError,
+     "unknown beta mode 'cubic'", None),
+    (lambda: reference_params(beta_mode=BETA_LOG), PgnError,
+     "log beta mode takes no beta", None),
+    (lambda: reference_params(alpha=F(1, 10 ** 6), q1=1), PgnError,
+     "q1 must exceed 1 so the log gap is positive", None),
+    (lambda: derive_alpha_beta(F(1, 2), F(1, 2), -1, 2, 3), PgnError,
+     "R_n must be nonnegative, got -1", None),
+    (lambda: derive_block_breakpoints(reference_params(), 1, 1),
+     TemplateOrderingError, "block 1: required q_k > 1 but got 1 vs 1; "
+     "q_1 too small for these parameters", "q_k > 1"),
+    # the 64-bit log of 1 + 2^-70 rounds to 0
+    (lambda: derive_block_breakpoints(reference_params(), 1,
+                                      1 + F(1, 2 ** 70)),
+     TemplateOrderingError, "block 1: required log(q_k) > 0 but got 0 vs 0; "
+     "q_1 too small for these parameters", "log(q_k) > 0")],
+    ids=["n-one", "alpha-zero", "blocks-zero", "beta-mode", "log-beta",
+         "q1-one", "rn-negative", "q_k-one", "log-q_k-zero"])
+def test_refusals(call, error, message, inequality):
+    with pytest.raises(PgnError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "inequality", None) == inequality
