@@ -51,9 +51,6 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):  # exact names: '--n' is not '--nu'
-        super().__init__(allow_abbrev=False, **kwargs)
-
     def error(self, message):
         raise UsageError(message)
 
@@ -261,8 +258,8 @@ def _load_system(path: str, profiles: bool = False):
 
 
 def _cmd_validate(args) -> int:
-    (den, breakpoints, values), _, _ = _load_system(args.system)
-    report = validate_raw(breakpoints, values, den)
+    rows, _, _ = _load_system(args.system)
+    report = validate_raw(*rows)
     for violation in report.violations:
         print(json.dumps(violation.to_json_dict(), sort_keys=True))
     print(json.dumps({"is_system": report.is_system,
@@ -442,12 +439,13 @@ def _build_parser(command: str | None = None) -> _Parser:
 
 @functools.cache
 def _parser(command: str | None) -> _Parser:
-    parser = _Parser(prog="pgn", description=__doc__)
+    # allow_abbrev=False on each parser: '--n' is not '--nu'
+    parser = _Parser(prog="pgn", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args, func) in _COMMANDS.items():
         if command is not None and name != command:
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         add_args(p)
         p.set_defaults(func=func)
     return parser

@@ -184,20 +184,28 @@ def _atanh_fp(z_fp: int, work: int) -> int:
     return total
 
 
-def _fp_mul(a: int, b: int, work: int) -> int:
-    return (a * b) >> work
-
-
 def _fp_pow(base: int, exponent: int, work: int) -> int:
     result = 1 << work
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = _fp_mul(result, b, work)
-        b = _fp_mul(b, b, work)
-        e >>= 1
+    while exponent:
+        if exponent & 1:
+            result = (result * base) >> work
+        base = (base * base) >> work
+        exponent >>= 1
     return result
+
+
+def _exp_fp(f_fp: int, work: int) -> int:
+    """e**f by power series for 0 <= f <= 1; input/output scaled by 2**work."""
+    total = term = 1 << work
+    k = 1
+    while term:
+        term = (term * f_fp) >> work
+        term //= k
+        if not term:
+            break
+        total += term
+        k += 1
+    return total
 
 
 # shared by every GapFunction, one entry per precision (8..MAX_GAP_BITS)
@@ -210,15 +218,7 @@ def _ln2_fp(work: int) -> int:
 @functools.cache
 def _e1_fp(work: int) -> int:
     """e in fixed point scaled by 2**work."""
-    total = term = 1 << work
-    k = 1
-    while term:
-        term //= k
-        if not term:
-            break
-        total += term
-        k += 1
-    return total
+    return _exp_fp(1 << work, work)
 
 
 class GapFunction:
@@ -276,23 +276,12 @@ class GapFunction:
         w = self._work
         a = x.numerator // x.denominator
         f = x - a
-        one = 1 << w
-        # e**f by power series, f in [0, 1)
-        f_fp = (f.numerator << w) // f.denominator
-        total = term = one
-        k = 1
-        while term:
-            term = (term * f_fp) >> w
-            term //= k
-            if not term:
-                break
-            total += term
-            k += 1
+        total = _exp_fp((f.numerator << w) // f.denominator, w)  # f in [0, 1)
         if a:
             pa = _fp_pow(_e1_fp(w), abs(a), w)
             if a < 0:
                 pa = (1 << (2 * w)) // pa
-            total = _fp_mul(total, pa, w)
+            total = (total * pa) >> w
         result = self._round_to_bits(total)
         if result <= 0:
             raise PgnError(

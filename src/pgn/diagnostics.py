@@ -10,7 +10,6 @@ never asymptotics.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +50,7 @@ class DiagnosticsReport:
         return record
 
 
-def _last_local_min(points: list[tuple], less=operator.lt) -> tuple | None:
+def _last_local_min(points: list[tuple], less) -> tuple | None:
     """Last local minimum of a sampled sequence of (q, value) pairs, the
     values ordered by ``less``.
 

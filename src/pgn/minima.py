@@ -134,9 +134,6 @@ class IntegerBody:
                    * w for (pivot, lead, reads, _), w
                    in zip(self.rows, self.weights))
 
-    def gauge(self, vec) -> Fraction:
-        return Fraction(self.numerator(vec), self.den)
-
     def radii(self, t: int) -> list[int]:
         """Per row, the largest |A_r . v| that gauge(v) <= t / den allows."""
         return [t // w for w in self.weights]
@@ -163,7 +160,8 @@ def gauge_at_scale(body: GaugeBody, scale: Fraction, vec) -> Fraction:
         raise PgnError("gauge of the zero vector is undefined")
     if len(vec) != body.dim:
         raise PgnError(f"vector has {len(vec)} coordinates, body needs {body.dim}")
-    return IntegerBody(body, Fraction(scale)).gauge(vec)
+    ib = IntegerBody(body, Fraction(scale))
+    return Fraction(ib.numerator(vec), ib.den)
 
 
 class _RankTracker:
@@ -672,6 +670,8 @@ def _witness(cell: str, dim: int) -> tuple[int, ...]:
     if len(vec) != dim:
         raise PgnError(f"profile witness {cell!r} has {len(vec)} "
                        f"coordinates, expected {dim}")
+    if not any(vec):  # pgn never writes one; it would pass as a kernel vector
+        raise PgnError(f"profile witness {cell!r} is the zero vector")
     return vec
 
 
@@ -712,6 +712,10 @@ def profile_from_csv(text: str) -> MinimaProfile:
             raise PgnError(f"profile data row {number} has {len(row)} "
                            f"cells, expected {3 * d + 2}")
         q = parse_rational(row[0])
+        if points and q <= points[-1].q:  # error rows count too
+            raise PgnError(
+                f"profile data row {number} has q={format_rational(q)} "
+                f"after q={format_rational(points[-1].q)}; q must increase")
         if not row[1].strip():
             points.append(GridPoint(q, None,
                                     error=row[1 + 3 * d].strip() or "error"))

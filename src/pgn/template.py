@@ -156,13 +156,13 @@ def derive_block_breakpoints(params: TemplateParams, k: int,
 
 
 def _derive(params: TemplateParams, k: int, q_k: Fraction
-            ) -> tuple[BlockBreakpoints, int, dict[str, int]]:
+            ) -> tuple[BlockBreakpoints, int, tuple[int, ...]]:
     """derive_block_breakpoints, with the numerators of q_k, r_k, s_k^m,
-    s_k, s_k^M, t_k, u_k, p_k, q_{k+1}, alpha and beta_k over one
-    denominator D, keyed q, r, sm, s, sM, t, u, p, q1, a, b.  D is the lcm
-    of the denominators of q_k, alpha, log(q_k) and beta_k times delta's
-    and w's denominators, n - 1, n and n + 1, so every formula, and each
-    gain of build_block, divides exactly."""
+    s_k, s_k^M, t_k, u_k, p_k, q_{k+1}, alpha and beta_k, in that order,
+    over one denominator D: the lcm of the denominators of q_k, alpha,
+    log(q_k) and beta_k times delta's and w's denominators, n - 1, n and
+    n + 1, so every formula, and each gain of build_block, divides
+    exactly."""
     n, w, alpha, delta = params.n, params.w, params.alpha, params.delta
 
     def fail(ineq: str, lhs, rhs):
@@ -211,16 +211,10 @@ def _derive(params: TemplateParams, k: int, q_k: Fraction
         fail("s_k^m <= s_k <= s_k^M", sm, sM)
     if not sM <= t:  # equality exactly when delta = 1
         fail("s_k^M <= t_k", sM, t)
-    nums = dict(q=q, r=r, sm=sm, s=s, sM=sM, t=t, u=u, p=p, q1=q1, a=a, b=b)
-    bp = BlockBreakpoints(k, q_k, *(Fraction(nums[key], den) for key in
-                                    ("r", "sm", "s", "sM", "t", "u", "p",
-                                     "q1")), beta_k)
+    nums = (q, r, sm, s, sM, t, u, p, q1, a, b)
+    bp = BlockBreakpoints(k, q_k, *(Fraction(v, den) for v in nums[1:9]),
+                          beta_k)
     return bp, den, nums
-
-
-# slope schedule: per segment, the 1-based index range of the moving group
-def _schedule(n: int) -> list[tuple[int, int]]:
-    return [(2, n), (n + 1, n + 1), (2, n), (2, n + 1), (n + 1, n + 1), (1, 1)]
 
 
 def build_block(params: TemplateParams, k: int, q_k
@@ -230,12 +224,14 @@ def build_block(params: TemplateParams, k: int, q_k
     bp, den, nums = _derive(params, k, Fraction(q_k))
     n, w = params.n, params.w
     wn, wd = w.numerator, w.denominator
-    q, r, s, t, u, p, q1, a, b = (nums[key] for key in (
-        "q", "r", "s", "t", "u", "p", "q1", "a", "b"))
+    q, r, _, s, _, t, u, p, q1, a, b = nums
     points = [q, r, s, t, u, p, q1]
+    # slope schedule: per segment, the 1-based index range of the moving group
+    schedule = [(2, n), (n + 1, n + 1), (2, n), (2, n + 1), (n + 1, n + 1),
+                (1, 1)]
     low = q // (n + 1) - a
     rows: list[list[int]] = [[low] * n + [low + (n + 1) * a]]
-    for (m1, m2), lo, hi in zip(_schedule(n), points, points[1:]):
+    for (m1, m2), lo, hi in zip(schedule, points, points[1:]):
         gain = (hi - lo) // (m2 - m1 + 1)
         row = list(rows[-1])
         for d in range(m1 - 1, m2):

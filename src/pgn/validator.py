@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (PiecewiseLinearMap, StructureError, _check_counts,
-                   _integer_form, _json_record, _ratio_text, format_rational)
+                   _json_record, _ratio_text, format_rational)
 
 AXIOM_ORDER = "i-order"
 AXIOM_SUM = "i-sum"
@@ -127,18 +127,14 @@ def validate(m: PiecewiseLinearMap) -> AxiomReport:
     return AxiomReport(tuple(v for _, _, v in found))
 
 
-def validate_raw(breakpoints, values, den: int | None = None) -> AxiomReport:
+def validate_raw(den: int, bps, rows) -> AxiomReport:
     """Validate raw row data, tolerating jump discontinuities.
 
-    Without ``den`` the breakpoints and values are rationals in any form
-    Fraction accepts; with it they are integer numerators over ``den``, as
+    The breakpoints and value rows are integer numerators over ``den``, as
     map_document_rows returns them.  Adjacent duplicate breakpoints with
     differing rows encode a jump and yield a continuity violation;
     genuinely unsorted breakpoints are a structural error.
     """
-    if den is None:
-        den, breakpoints, values = _integer_form(breakpoints, values)
-    bps, rows = breakpoints, values
     _check_counts(bps, rows)
     if any(b2 < b1 for b1, b2 in zip(bps, bps[1:])):
         raise StructureError("breakpoints are not sorted")

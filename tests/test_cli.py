@@ -668,8 +668,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row, message", [
         ("0", "data row 1 has 1 cells"),
-        ("0,1,1,0,0,1;0,0;1;1,", "witness '0;1;1' has 3 coordinates")],
-        ids=["short-row", "long-witness"])
+        ("0,1,1,0,0,1;0,0;1;1,", "witness '0;1;1' has 3 coordinates"),
+        ("0,1,1,0,0,0;0,1;0,", "witness '0;0' is the zero vector")],
+        ids=["short-row", "long-witness", "zero-witness"])
     def test_malformed_profile_row_exits_3(self, capsys, tmp_path, row,
                                            message):
         path = tmp_path / "profile.csv"
@@ -694,6 +695,24 @@ class TestExitCodes:
                              "--profile", str(prof))
         assert code == 3 and not out
         assert err == "error: profile has no grid points\n"
+
+    def test_profile_q_out_of_order_gives_one_line_everywhere(self, capsys,
+                                                              tmp_path):
+        # once 'ranges are disjoint' from compare and 'breakpoints must be
+        # strictly increasing' from diagnose
+        system, prof = tmp_path / "system.json", tmp_path / "profile.csv"
+        system.write_text(json.dumps({"n": 1, "breakpoints": ["0", "8"],
+                                      "values": [["0", "0"], ["0", "8"]]}))
+        prof.write_text("# pgn-profile v1\n# mode=linear-form\n# x=2/3\n"
+                        "q,lambda_1,lambda_2,L_1,L_2,witness_1,witness_2,"
+                        "error\n2,1,1,0,0,0;1,1;0,\n1,1,1,0,0,0;1,1;0,\n")
+        message = ("error: profile data row 2 has q=1 after q=2; "
+                   "q must increase\n")
+        for argv in (["compare", "--system", str(system), "--profile",
+                      str(prof)],
+                     ["diagnose", "--input", str(prof), "--w", "1"]):
+            code, out, err = cli(capsys, *argv)
+            assert (code, out, err) == (3, "", message)
 
     @pytest.mark.parametrize("bound", ["abc", "1e3", "0", "-3"])
     def test_bad_bound_is_a_usage_error(self, capsys, bound):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import fractions
+import hashlib
 import pickle
 import time
 from decimal import Decimal
@@ -194,6 +195,26 @@ class TestGapFunction:
     def test_underflow_raises(self):
         with pytest.raises(PgnError):
             GapFunction().exp(-200)
+
+    def test_values_are_pinned(self):
+        # 2,304 values, past x = 16 too, where exp is not correctly rounded;
+        # a change of either series or of the rounding re-pins openly
+        lines = []
+        for bits in (8, 64, 128):
+            gap = GapFunction(bits)
+            args = ([("exp", F(k, 4)) for k in range(-80, 121)]
+                    + [("log", F(2) ** j * (1 + F(i, 7)))
+                       for j in range(-40, 41) for i in range(7)])
+            for fn, arg in args:
+                try:
+                    value = getattr(gap, fn)(arg)
+                except PgnError as exc:
+                    value = exc
+                lines.append(f"{fn},{bits},{format_rational(arg)},{value}")
+        assert len(lines) == 2304
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode())
+        assert digest.hexdigest() == ("8b90ec33b1487444fa94823fc8156415"
+                                      "e430037da6a887997413f059ef1908cb")
 
     @staticmethod
     def _units(value, true, bits, prec):

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -97,7 +98,7 @@ def _extrema_by_evaluate(m, n, w, tail_start):
     dw = [(q, q / (w + 1) - v) for q, v in zip(points, p1)]
     ratio = [(q, v / q) for q, v in zip(points, p1) if q > 0]
     glob = min((v, q) for q, v in ratio) if ratio else (None, None)
-    last = _last_local_min(ratio) or (None, None)
+    last = _last_local_min(ratio, operator.lt) or (None, None)
     return (min(di, key=lambda t: (t[1], t[0])),
             max(di, key=lambda t: (t[1], -t[0])),
             max(dw, key=lambda t: (t[1], -t[0])), glob, last)

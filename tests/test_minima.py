@@ -431,9 +431,15 @@ _HEADER = "q,lambda_1,lambda_2,L_1,L_2,witness_1,witness_2,error\n"
     (lambda: profile_from_csv("# x=2/3\n" + _HEADER),
      "profile file missing metadata 'mode'"),
     (lambda: profile_from_csv(_META + "0,1,1,0,0,0;1,1;0,\n"),
-     "profile file missing the CSV header row")],
+     "profile file missing the CSV header row"),
+    (lambda: profile_from_csv(_META + _HEADER + "0,1,1,0,0,0;0,1;0,\n"),
+     "profile witness '0;0' is the zero vector"),
+    # a refused row's q counts toward the order
+    (lambda: profile_from_csv(_META + _HEADER + "1,,,,,,,refused\n"
+                              "0,1,1,0,0,0;1,1;0,\n"),
+     "profile data row 2 has q=0 after q=1; q must increase")],
     ids=["body-mode", "no-target", "bound-zero", "witness-cell",
-         "no-mode", "no-header"])
+         "no-mode", "no-header", "zero-witness", "q-not-increasing"])
 def test_refusals(call, message):
     with pytest.raises(PgnError) as info:
         call()
@@ -538,7 +544,7 @@ def test_window_is_the_box_filtered_to_the_threshold(mode, x, scale,
     # the box holds one vector of each +- pair, each with its exact gauge
     assert len(box) == box.covered == ((2 * bound + 1) ** len(ib.rows)
                                        - 1) // 2
-    assert all(F(g, ib.den) == ib.gauge(vec) for g, vec in box)
+    assert all(g == ib.numerator(vec) for g, vec in box)
     limit = threshold * ib.den
     assert len(window) == window.covered > len(x)
     assert sorted(window) == sorted(c for c in box if c[0] <= limit)

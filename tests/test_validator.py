@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pgn import (PiecewiseLinearMap, StructureError, format_rational,
                  validate, validate_raw)
+from pgn.core import _integer_form
 from pgn.validator import (AXIOM_CONTINUITY, AXIOM_JUNCTION, AXIOM_ORDER,
                            AXIOM_SLOPE, AXIOM_SUM)
 from pgn.template import TemplateParams, build_system
@@ -14,6 +15,11 @@ from pgn.template import TemplateParams, build_system
 
 def axioms(report):
     return [v.axiom for v in report.violations]
+
+
+def _raw(bps, rows):
+    """validate_raw of rational rows, put over one denominator first."""
+    return validate_raw(*_integer_form(bps, rows))
 
 
 class TestValidSystems:
@@ -95,16 +101,16 @@ class TestViolations:
 class TestRawValidation:
     def test_unsorted_is_structural(self):
         with pytest.raises(StructureError):
-            validate_raw([F(1), F(0)], [(F(0), F(1)), (F(0), F(0))])
+            _raw([F(1), F(0)], [(F(0), F(1)), (F(0), F(0))])
 
     def test_duplicate_rows_collapse(self):
-        report = validate_raw(
+        report = _raw(
             [F(1), F(2), F(2), F(3)],
             [(F(0), F(1)), (F(0), F(2)), (F(0), F(2)), (F(0), F(3))])
         assert report.is_system
 
     def test_jump_reports_continuity(self):
-        report = validate_raw(
+        report = _raw(
             [F(1), F(2), F(2), F(3)],
             [(F(0), F(1)), (F(0), F(2)), (F(1), F(1)), (F(1), F(2))])
         assert AXIOM_CONTINUITY in axioms(report)
@@ -113,7 +119,7 @@ class TestRawValidation:
 
     def test_ragged_rows_are_structural(self):
         with pytest.raises(StructureError):
-            validate_raw([F(0), F(1)], [(F(0), F(0)), (F(1),)])
+            _raw([F(0), F(1)], [(F(0), F(0)), (F(1),)])
 
 
 class TestAlternativeStepFalsification:
@@ -312,7 +318,7 @@ def _walks(draw):
 @example(([F(0), F(1)], [(F(0), F(0)), (F(1, 2), F(1))]))
 def test_validate_raw_matches_slow_restatement(raw):
     bps, rows = raw
-    assert _listed(validate_raw(bps, rows)) == _slow_violations(bps, rows)
+    assert _listed(_raw(bps, rows)) == _slow_violations(bps, rows)
 
 
 def test_slow_restatement_sees_every_axiom():
@@ -327,4 +333,4 @@ def test_slow_restatement_sees_every_axiom():
          {AXIOM_JUNCTION})]
     for (bps, rows), kinds in cases:
         assert {v[0] for v in _slow_violations(bps, rows)} == kinds
-        assert _listed(validate_raw(bps, rows)) == _slow_violations(bps, rows)
+        assert _listed(_raw(bps, rows)) == _slow_violations(bps, rows)
